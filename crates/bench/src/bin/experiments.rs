@@ -10,6 +10,7 @@
 //! successive PRs have a performance trajectory to compare against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gact::{
@@ -26,7 +27,7 @@ use gact_models::{
     SubIisModel, TResilient, WaitFree,
 };
 use gact_shm::{run_is, simulate_iis, RandomScheduler};
-use gact_tasks::affine::{full_subdivision_task, lt_task, total_order_task};
+use gact_tasks::affine::{full_subdivision_task, lt_task, lt_task_in, total_order_task};
 use gact_tasks::classic::consensus_task;
 use gact_tasks::commit_adopt::{check_commit_adopt, CaOutput, CommitAdopt};
 use gact_topology::{Simplex, VertexId};
@@ -78,6 +79,18 @@ fn run_json_benches(path: &str, force: bool) {
     {
         let (s, g) = standard_simplex(2);
         push(measure("chr_growth/n2_m3", 10, || chr_iter(&s, &g, 3)));
+    }
+
+    println!("timing tasks …");
+    {
+        // One affine-task build over a cached ambient, as a warm engine
+        // serves it: `L_1(n=3)` selected from a shared `Chr² s`, every
+        // `Δ(t)` derived from the selection's facets.
+        let (s, g) = standard_simplex(3);
+        let ambient = Arc::new(chr_iter(&s, &g, 2));
+        push(measure("tasks/lt_task_n3_t1", 10, || {
+            lt_task_in(3, 1, Arc::clone(&ambient))
+        }));
     }
 
     println!("timing act_solver …");

@@ -92,13 +92,93 @@ impl ChromaticSubdivision {
     /// The subcomplex of simplices carried by (contained in) the face `t`
     /// of the base complex — i.e. `Chr(C) ∩ Chr(t)`.
     pub fn restriction_to_face(&self, t: &Simplex) -> Complex {
-        Complex::from_facets(
-            self.complex
-                .complex()
-                .iter()
-                .filter(|s| self.simplex_carrier(s).is_face_of(t))
-                .cloned(),
-        )
+        FaceCarriers::new(self, t).restrict(self.complex.complex(), t)
+    }
+}
+
+/// The vertex carriers of a subdivision, each encoded once as a bitmask over
+/// the vertices of one base simplex `s`, for restricting subcomplexes to the
+/// faces of `s`.
+///
+/// A simplex lies in `Chr t` iff every vertex's carrier is a face of `t`,
+/// so for `K` a subcomplex of the subdivision, `K ∩ Chr t` is generated by
+/// the restrictions `f|_t` of the facets `f` of `K` to their `t`-carried
+/// vertices: [`FaceCarriers::restrict`] is one pass over `K`'s facets, with
+/// no face-closure enumeration and no carrier unions.
+#[derive(Clone, Debug)]
+pub struct FaceCarriers {
+    base: Simplex,
+    /// `masks[v]`: bit `i` set iff the `i`-th vertex of `base` is in the
+    /// carrier of `v`; [`FaceCarriers::OUTSIDE`] for vertices whose carrier
+    /// is not a face of `base` (and for ids that are not vertices).
+    masks: Vec<u64>,
+}
+
+impl FaceCarriers {
+    /// Mask of a vertex carried by no face of the base. Its top bit is never
+    /// part of a face mask (the base has at most 63 vertices), so no face
+    /// carries it.
+    const OUTSIDE: u64 = u64::MAX;
+
+    /// Encodes the vertex carriers of `sd` over the vertices of `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has more than 63 vertices.
+    pub fn new(sd: &ChromaticSubdivision, base: &Simplex) -> Self {
+        assert!(base.card() < 64, "face masks hold at most 63 base vertices");
+        let len = sd
+            .vertex_carrier
+            .keys()
+            .map(|v| v.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut masks = vec![Self::OUTSIDE; len];
+        let base_vertices = base.vertices();
+        for (v, carrier) in &sd.vertex_carrier {
+            let mut mask = 0u64;
+            for w in carrier.iter() {
+                match base_vertices.binary_search(&w) {
+                    Ok(i) => mask |= 1 << i,
+                    Err(_) => {
+                        mask = Self::OUTSIDE;
+                        break;
+                    }
+                }
+            }
+            masks[v.0 as usize] = mask;
+        }
+        FaceCarriers {
+            base: base.clone(),
+            masks,
+        }
+    }
+
+    /// `K ∩ Chr t`: the simplices of `k` whose carrier is a face of `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a face of the base simplex.
+    pub fn restrict(&self, k: &Complex, t: &Simplex) -> Complex {
+        let base_vertices = self.base.vertices();
+        let face_mask = t.iter().fold(0u64, |acc, w| {
+            let i = base_vertices
+                .binary_search(&w)
+                .expect("restriction face must be a face of the base simplex");
+            acc | 1 << i
+        });
+        let carried = |v: &VertexId| {
+            let mask = self
+                .masks
+                .get(v.0 as usize)
+                .copied()
+                .unwrap_or(Self::OUTSIDE);
+            mask & !face_mask == 0
+        };
+        Complex::from_facets(k.iter_facets().filter_map(|f| {
+            let kept: Vec<VertexId> = f.iter().filter(carried).collect();
+            (!kept.is_empty()).then(|| Simplex::new(kept))
+        }))
     }
 }
 

@@ -40,7 +40,7 @@ pub mod terminating;
 pub use cache::{complex_cache_key, env_cache_capacity, CacheStats, ComplexKey, SubdivisionCache};
 pub use chr::{
     chr, chr_identity, chr_iter, chr_relative, chr_step, chr_step_with_lineage, compose_carriers,
-    fubini, ordered_partitions, ChromaticSubdivision, StageLineage, VertexAlloc,
+    fubini, ordered_partitions, ChromaticSubdivision, FaceCarriers, StageLineage, VertexAlloc,
 };
 pub use color::{Color, ColorSet};
 pub use complex::{ChromaticComplex, ChromaticError};

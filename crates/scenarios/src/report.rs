@@ -94,7 +94,7 @@ pub fn cache_stats_json(s: CacheStats) -> String {
     )
 }
 
-/// The canonical serialization of a [`SolveStats`] effort counter
+/// The canonical serialization of a [`SolveStats`](gact::solver::SolveStats) effort counter
 /// object, shared by the schema-2 totals and the engine's stats
 /// snapshot.
 pub fn solve_stats_json(s: gact::solver::SolveStats) -> String {

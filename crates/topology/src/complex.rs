@@ -19,12 +19,26 @@
 //!   characteristic, …). The cache is built at most once per mutation
 //!   epoch and invalidated by `insert`.
 //!
+//! ## Building
+//!
+//! Every constructor that starts from a list of simplices
+//! ([`Complex::from_facets`], and through it `skeleton`, `induced`,
+//! `union`, `link`, …) is one bulk pass: the list is sorted largest
+//! cardinality first, and a simplex is appended as a facet unless the
+//! membership probe finds it inside one already kept. A simplex can only
+//! be a face of a larger (or equal) one, which is always considered
+//! first, so no kept facet is ever absorbed later: the pass never removes
+//! a facet, never merges cofacet lists and never shifts a sorted table.
+//! [`Complex::insert`] remains the incremental single addition (it may
+//! absorb existing facets); both reach the same complex.
+//!
 //! ## Invariants
 //!
 //! * The facet tables contain exactly the maximal simplices: `insert`
 //!   drops an incoming simplex that is already a face of a facet and
-//!   removes previous facets absorbed by the newcomer, so no table entry is
-//!   a face of another.
+//!   removes previous facets absorbed by the newcomer, and the bulk pass
+//!   keeps only simplices not covered by a kept facet, so no table entry
+//!   is a face of another.
 //! * Each per-dimension table is sorted by the simplex's vertex sequence;
 //!   equality of complexes is equality of facet tables (facets determine
 //!   the closure, so this coincides with the old closure-set equality).
@@ -143,13 +157,36 @@ impl Complex {
         Complex::default()
     }
 
-    /// Builds the complex generated by the given facets (their face
-    /// closure).
+    /// Builds the complex generated by the given simplices (their face
+    /// closure) in one bulk pass.
+    ///
+    /// The input may contain duplicates and faces of other input simplices,
+    /// in any order; the result is the same complex a left fold of
+    /// [`Complex::insert`] builds. The input is ordered largest cardinality
+    /// first, so a simplex can only be a face of one already kept: it is
+    /// skipped when the membership probe finds it covered and appended
+    /// otherwise, and no kept facet is ever absorbed later.
+    ///
+    /// # Panics
+    ///
+    /// As [`Complex::insert`].
     pub fn from_facets<I: IntoIterator<Item = Simplex>>(facets: I) -> Self {
+        let mut input: Vec<Simplex> = facets.into_iter().collect();
+        input.iter().for_each(Self::check_insertable);
+        // Largest first; within one cardinality the canonical order, so each
+        // dimension table is appended already sorted.
+        input.sort_unstable_by(|a, b| b.card().cmp(&a.card()).then_with(|| a.cmp(b)));
+        input.dedup();
         let mut c = Complex::new();
-        for f in facets {
-            c.insert(f);
+        for s in input {
+            if !c.contains(&s) {
+                c.append_facet(s);
+            }
         }
+        debug_assert!(c
+            .tables
+            .iter()
+            .all(|t| t.windows(2).all(|w| c.resolve(w[0]) < c.resolve(w[1]))));
         c
     }
 
@@ -172,17 +209,7 @@ impl Complex {
     /// and the bound turns a pathological sparse id into a clear panic
     /// instead of a giant allocation.
     pub fn insert(&mut self, s: Simplex) {
-        assert!(
-            s.card() <= 28,
-            "face enumeration only supported for small simplices"
-        );
-        let max_v = s.vertices().last().expect("non-empty").0;
-        assert!(
-            max_v <= Self::MAX_VERTEX_ID,
-            "vertex ids must be (near-)densely allocated: id {max_v} exceeds \
-             MAX_VERTEX_ID ({}) for the vertex-indexed membership tables",
-            Self::MAX_VERTEX_ID
-        );
+        Self::check_insertable(&s);
         // Candidate facets sharing a vertex with `s`, deduplicated.
         let mut candidates: Vec<u32> = Vec::new();
         for v in s.iter() {
@@ -203,14 +230,41 @@ impl Complex {
                 self.remove_facet(fid);
             }
         }
+        let d = s.dim();
+        let pos = self
+            .tables
+            .get(d)
+            .map_or(0, |t| t.partition_point(|&x| self.store[x as usize] < s));
+        self.append_facet(s);
+        self.tables[d][pos..].rotate_right(1);
+        self.closure.take();
+    }
+
+    /// The size limits [`Complex::insert`] documents.
+    fn check_insertable(s: &Simplex) {
+        assert!(
+            s.card() <= 28,
+            "face enumeration only supported for small simplices"
+        );
+        let max_v = s.vertices().last().expect("non-empty").0;
+        assert!(
+            max_v <= Self::MAX_VERTEX_ID,
+            "vertex ids must be (near-)densely allocated: id {max_v} exceeds \
+             MAX_VERTEX_ID ({}) for the vertex-indexed membership tables",
+            Self::MAX_VERTEX_ID
+        );
+    }
+
+    /// Registers `s` as a live facet: interns it, appends its id to the end
+    /// of its dimension table and to its vertices' cofacet lists. The
+    /// caller keeps the table sorted and the facet set maximal.
+    fn append_facet(&mut self, s: Simplex) {
         let id = u32::try_from(self.store.len()).expect("complex store overflow");
         let d = s.dim();
         if self.tables.len() <= d {
             self.tables.resize_with(d + 1, Vec::new);
         }
-        let table = &mut self.tables[d];
-        let pos = table.partition_point(|&x| self.store[x as usize] < s);
-        table.insert(pos, id);
+        self.tables[d].push(id);
         let max_v = s.vertices().last().expect("non-empty").0 as usize;
         if self.cofacets.len() <= max_v {
             self.cofacets.resize_with(max_v + 1, Vec::new);
@@ -223,7 +277,6 @@ impl Complex {
             list.push(id);
         }
         self.store.push(s);
-        self.closure.take();
     }
 
     fn remove_facet(&mut self, fid: u32) {
@@ -410,23 +463,15 @@ impl Complex {
 
     /// The `k`-skeleton: all simplices of dimension ≤ `k` (§3.1).
     pub fn skeleton(&self, k: usize) -> Complex {
-        let mut out = Complex::new();
-        let mut scratch = Vec::new();
-        for table in &self.tables {
-            for &fid in table {
-                let f = self.resolve(fid);
-                if f.dim() <= k {
-                    out.insert(f.clone());
-                } else {
-                    scratch.clear();
-                    f.faces_of_dim_into(k, &mut scratch);
-                    for t in scratch.drain(..) {
-                        out.insert(t);
-                    }
-                }
+        let mut gen = Vec::new();
+        for f in self.iter_facets() {
+            if f.dim() <= k {
+                gen.push(f.clone());
+            } else {
+                f.faces_of_dim_into(k, &mut gen);
             }
         }
-        out
+        Complex::from_facets(gen)
     }
 
     /// The open star of `s`: every simplex having `s` as a face (§3.1).
@@ -501,47 +546,24 @@ impl Complex {
     /// The subcomplex induced by a set of vertices: all simplices whose
     /// vertices lie in `keep`.
     pub fn induced(&self, keep: &BTreeSet<VertexId>) -> Complex {
-        let mut out = Complex::new();
-        for table in &self.tables {
-            for &fid in table {
-                let f = self.resolve(fid);
-                let kept: Vec<VertexId> = f.iter().filter(|v| keep.contains(v)).collect();
-                if !kept.is_empty() {
-                    out.insert(Simplex::new(kept));
-                }
-            }
-        }
-        out
+        Complex::from_facets(self.iter_facets().filter_map(|f| {
+            let kept: Vec<VertexId> = f.iter().filter(|v| keep.contains(v)).collect();
+            (!kept.is_empty()).then(|| Simplex::new(kept))
+        }))
     }
 
     /// Union of two complexes.
     pub fn union(&self, other: &Complex) -> Complex {
-        let mut out = self.clone();
-        for table in &other.tables {
-            for &fid in table {
-                out.insert(other.resolve(fid).clone());
-            }
-        }
-        out
+        Complex::from_facets(self.iter_facets().chain(other.iter_facets()).cloned())
     }
 
     /// Intersection of two complexes (always a complex): generated by the
     /// pairwise intersections of facets.
     pub fn intersection(&self, other: &Complex) -> Complex {
-        let mut out = Complex::new();
-        for ta in &self.tables {
-            for &fa in ta {
-                let a = self.resolve(fa);
-                for tb in &other.tables {
-                    for &fb in tb {
-                        if let Some(i) = a.intersection(other.resolve(fb)) {
-                            out.insert(i);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        Complex::from_facets(
+            self.iter_facets()
+                .flat_map(|a| other.iter_facets().filter_map(|b| a.intersection(b))),
+        )
     }
 
     /// Whether `self ⊆ other` as sets of simplices.
@@ -615,16 +637,11 @@ impl Complex {
     ///
     /// Panics if `f` identifies two distinct vertices of some simplex.
     pub fn relabel(&self, f: impl Fn(VertexId) -> VertexId) -> Complex {
-        let mut out = Complex::new();
-        for table in &self.tables {
-            for &fid in table {
-                let s = self.resolve(fid);
-                let t = Simplex::new(s.iter().map(&f));
-                assert_eq!(t.card(), s.card(), "relabeling must be injective");
-                out.insert(t);
-            }
-        }
-        out
+        Complex::from_facets(self.iter_facets().map(|s| {
+            let t = Simplex::new(s.iter().map(&f));
+            assert_eq!(t.card(), s.card(), "relabeling must be injective");
+            t
+        }))
     }
 }
 

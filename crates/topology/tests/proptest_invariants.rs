@@ -271,4 +271,57 @@ proptest! {
             prop_assert!(expect.contains(s));
         }
     }
+
+    #[test]
+    fn bulk_from_facets_equals_insert_fold(
+        generators in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..10, 1..=5),
+            1..=8,
+        ),
+        seed in 0u64..u64::MAX,
+    ) {
+        // The input: every generator, random faces of it, and duplicates,
+        // shuffled. The vendored proptest does not shrink, so every failure
+        // message carries the seed that rebuilds the input.
+        let mut rng = TestRng::seeded(seed);
+        let mut input: Vec<Simplex> = Vec::new();
+        for g in &generators {
+            let g = Simplex::new(g.iter().copied().map(VertexId));
+            let faces = g.faces();
+            for _ in 0..rng.below(4) {
+                input.push(faces[rng.below(faces.len() as u64) as usize].clone());
+            }
+            for _ in 0..=rng.below(2) {
+                input.push(g.clone());
+            }
+        }
+        for i in (1..input.len()).rev() {
+            input.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+
+        let bulk = Complex::from_facets(input.clone());
+        let mut fold = Complex::new();
+        for s in &input {
+            fold.insert(s.clone());
+        }
+        prop_assert_eq!(&bulk, &fold, "seed {seed}: complexes differ");
+        prop_assert_eq!(bulk.facets(), fold.facets(), "seed {seed}: facets differ");
+        prop_assert_eq!(bulk.vertex_count(), fold.vertex_count(), "seed {seed}: vertex counts");
+        prop_assert_eq!(bulk.simplex_count(), fold.simplex_count(), "seed {seed}: simplex counts");
+        // Membership agrees on every simplex over the vertex universe.
+        let universe = Simplex::new((0u32..10).map(VertexId));
+        for mask in 1u32..(1 << 10) {
+            if mask.count_ones() > 6 {
+                continue;
+            }
+            let probe = Simplex::new(
+                universe.iter().filter(|v| mask & (1 << v.0) != 0),
+            );
+            prop_assert_eq!(
+                bulk.contains(&probe),
+                fold.contains(&probe),
+                "seed {seed}: membership of {probe:?}"
+            );
+        }
+    }
 }
