@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gact::cache::QueryCache;
-use gact_scenarios::{cells_for, run_matrix, run_matrix_cold};
+use gact::control::SolveControl;
+use gact_scenarios::{cells_for, run_matrix_cold, run_matrix_controlled};
 
 fn bench_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario_matrix");
@@ -21,7 +22,7 @@ fn bench_matrix(c: &mut Criterion) {
             // Fresh cache per sweep: measures intra-sweep sharing, not
             // warm-start luck.
             let cache = QueryCache::new();
-            run_matrix(&cells, &cache)
+            run_matrix_controlled(&cells, &cache, &SolveControl::new())
         });
     });
 

@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates, in one run, every figure-level and
-//! theorem-level artifact of the paper (see DESIGN.md §5 and
-//! EXPERIMENTS.md). Prints paper-vs-measured rows.
+//! theorem-level artifact of the paper (rows F1–F5 and E1–E11, listed in
+//! `docs/benchmarks.md`). Prints paper-vs-measured rows.
 //!
 //! Run with: `cargo run --release -p gact-bench --bin experiments`
 //!
@@ -48,8 +48,8 @@ fn row(name: &str, paper: &str, measured: &str) {
 /// the committed trajectory would corrupt every cross-PR comparison);
 /// `--force` overrides.
 fn run_json_benches(path: &str, force: bool) {
-    use gact::{solve, MapProblem, SolveOutcome, SolveStats};
-    use gact_bench::{count_bench_ids, measure, to_json, BenchRecord, SolverEffort};
+    use gact::{solve, MapProblem, SolveOutcome};
+    use gact_bench::{count_bench_ids, measure, to_json, BenchRecord};
 
     let mut records: Vec<BenchRecord> = Vec::new();
     let mut push = |r: BenchRecord| {
@@ -61,11 +61,6 @@ fn run_json_benches(path: &str, force: bool) {
     // wall times. The counter-gathering runs are pinned to one thread
     // (the parallel subtree split's counters vary with cancellation
     // timing), so the recorded counters are deterministic on any machine.
-    let effort = |s: SolveStats| SolverEffort {
-        assignments: s.assignments,
-        backtracks: s.backtracks,
-        prunes: s.prunes,
-    };
 
     println!("timing chr_growth …");
     for n in 1..=3usize {
@@ -104,7 +99,7 @@ fn run_json_benches(path: &str, force: bool) {
             measure(format!("act_solver/solvable/n{n}_k{depth}"), 10, || {
                 assert!(act_solve(&at.task, depth).is_solvable())
             })
-            .with_solver(effort(stats)),
+            .with_solver(stats),
         );
     }
     for k in 0..=2usize {
@@ -125,7 +120,7 @@ fn run_json_benches(path: &str, force: bool) {
                 };
                 assert!(!matches!(solve(&problem, None), SolveOutcome::Map(..)));
             })
-            .with_solver(effort(stats)),
+            .with_solver(stats),
         );
     }
     {
@@ -177,13 +172,14 @@ fn run_json_benches(path: &str, force: bool) {
     println!("timing scenario_matrix …");
     {
         use gact::cache::QueryCache;
+        use gact::control::SolveControl;
         use gact_engine::{Engine, MatrixRequest};
-        use gact_scenarios::{cells_for, run_matrix, run_matrix_cold};
+        use gact_scenarios::{cells_for, run_matrix_cold, run_matrix_controlled};
         let cells = cells_for("rounds-sweep").expect("registered family");
         let direct = measure("scenario_matrix/rounds_sweep_cached", 10, || {
             // Fresh cache per sweep: intra-sweep sharing only.
             let cache = QueryCache::new();
-            run_matrix(&cells, &cache)
+            run_matrix_controlled(&cells, &cache, &SolveControl::new())
         });
         let direct_median = direct.median_ns;
         push(direct);
@@ -192,9 +188,9 @@ fn run_json_benches(path: &str, force: bool) {
         }));
         // The facade overhead gate: the same cached rounds sweep routed
         // through a fresh Engine session per iteration (request
-        // validation + controlled driver + stats accounting on top of
-        // the identical cache/solver work). The facade must stay within
-        // 5% of the direct path (plus a 2ms absolute guard against
+        // validation + thread scoping + stats accounting on top of the
+        // identical driver, cache and solver work). The facade must stay
+        // within 5% of the direct path (plus a 2ms absolute guard against
         // container timer noise on a sub-50ms workload).
         let request = MatrixRequest::family("rounds-sweep").expect("registered family");
         let routed = measure("scenario_matrix/engine_overhead", 10, || {
@@ -210,7 +206,7 @@ fn run_json_benches(path: &str, force: bool) {
             budget_ns / 1e6
         );
         println!(
-            "  engine facade overhead: {:+.1}% over direct run_matrix (gate: ≤5% + 2ms)",
+            "  engine facade overhead: {:+.1}% over direct run_matrix_controlled (gate: ≤5% + 2ms)",
             100.0 * (routed.median_ns - direct_median) / direct_median
         );
         push(routed);
@@ -224,7 +220,7 @@ fn run_json_benches(path: &str, force: bool) {
             measure("lt_pipeline/build_showcase_2_stages", 3, || {
                 build_lt_showcase(2, 1, 2).expect("witness")
             })
-            .with_solver(effort(stats)),
+            .with_solver(stats),
         );
     }
     {
@@ -645,13 +641,15 @@ fn main() {
     );
     {
         use gact::cache::QueryCache;
-        use gact_scenarios::{cells_for, run_matrix, run_matrix_cold};
+        use gact::control::SolveControl;
+        use gact_scenarios::{cells_for, run_matrix_cold, run_matrix_controlled};
         let cells = cells_for("rounds-sweep").expect("registered family");
+        let cached = || run_matrix_controlled(&cells, &QueryCache::new(), &SolveControl::new());
         // Warm the code paths once, then take the best of three sweeps
         // each way (the matrix is milliseconds; medians over tiny counts
         // are noisy).
-        let _ = run_matrix(&cells, &QueryCache::new());
-        let timed = |f: &dyn Fn() -> gact_scenarios::MatrixReport| {
+        let _ = cached();
+        let timed = |f: &dyn Fn() -> gact_scenarios::ControlledMatrixReport| {
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
@@ -661,10 +659,10 @@ fn main() {
                 .min_by_key(|(wall, _)| *wall)
                 .expect("three samples")
         };
-        let (cached_wall, cached_report) = timed(&|| run_matrix(&cells, &QueryCache::new()));
+        let (cached_wall, cached_report) = timed(&cached);
         let (cold_wall, cold_report) = timed(&|| run_matrix_cold(&cells));
         for (a, b) in cached_report.results.iter().zip(&cold_report.results) {
-            assert_eq!(a.verdict, b.verdict, "cache must not change verdicts");
+            assert_eq!(a.outcome, b.outcome, "cache must not change verdicts");
         }
         let speedup = cold_wall.as_secs_f64() / cached_wall.as_secs_f64();
         row(

@@ -3,34 +3,22 @@
 //! Benchmark harness for the GACT reproduction. Content:
 //!
 //! * `benches/` — criterion benchmarks (`chr_growth`, `act_solver`,
-//!   `runs_and_projection`, `shm_is`, `lt_pipeline`), one per experiment
-//!   family of DESIGN.md §5;
+//!   `runs_and_projection`, `shm_is`, `lt_pipeline`, `scenario_matrix`),
+//!   one per experiment family of the README's "Experiments" section;
 //! * `src/bin/experiments.rs` — the one-shot harness printing every
-//!   paper-vs-measured row recorded in EXPERIMENTS.md, plus the `--json`
-//!   mode that re-times the benchmark workloads with `std::time` and
-//!   writes a machine-readable `BENCH_results.json` for cross-PR perf
-//!   tracking;
+//!   paper-vs-measured row, plus the `--json` mode that re-times the
+//!   benchmark workloads with `std::time` and writes a machine-readable
+//!   `BENCH_results.json` for cross-PR perf tracking (schema in
+//!   `docs/benchmarks.md`);
 //! * this library — the tiny wall-time measurement and JSON plumbing the
-//!   `--json` mode uses (kept dependency-free: the build environment has
-//!   no serde).
+//!   `--json` mode uses (serialized by hand: the build environment has no
+//!   serde).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Search-effort counters attached to solver benchmarks (the solver's
-/// `SolveStats`, re-declared here so the bench plumbing stays
-/// dependency-free): deterministic at one thread, so a regression in
-/// nodes/backtracks/prunes is visible in the JSON trajectory even when
-/// wall times are noisy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverEffort {
-    /// Vertex assignments attempted (search nodes).
-    pub assignments: u64,
-    /// Backtracks.
-    pub backtracks: u64,
-    /// Candidate values removed by the propagation layer.
-    pub prunes: u64,
-}
+use gact::SolveStats;
+use gact_scenarios::solve_stats_json;
 
 /// One timed benchmark: median/min/mean nanoseconds per iteration.
 #[derive(Clone, Debug)]
@@ -45,14 +33,16 @@ pub struct BenchRecord {
     pub mean_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
-    /// Solver search-effort counters, for solver workloads.
-    pub solver: Option<SolverEffort>,
+    /// Solver search-effort counters, for solver workloads: deterministic
+    /// at one thread, so a regression in nodes/backtracks/prunes is
+    /// visible in the JSON trajectory even when wall times are noisy.
+    pub solver: Option<SolveStats>,
 }
 
 impl BenchRecord {
     /// Attaches solver search-effort counters to this record (builder
     /// style, used by the `experiments --json` solver benches).
-    pub fn with_solver(mut self, effort: SolverEffort) -> Self {
+    pub fn with_solver(mut self, effort: SolveStats) -> Self {
         self.solver = Some(effort);
         self
     }
@@ -142,12 +132,7 @@ pub fn to_json(records: &[BenchRecord]) -> String {
         let comma = if i + 1 < records.len() { "," } else { "" };
         let solver = r
             .solver
-            .map(|s| {
-                format!(
-                    ", \"solver\": {{\"assignments\": {}, \"backtracks\": {}, \"prunes\": {}}}",
-                    s.assignments, s.backtracks, s.prunes
-                )
-            })
+            .map(|s| format!(", \"solver\": {}", solve_stats_json(s)))
             .unwrap_or_default();
         let _ = writeln!(
             out,
@@ -198,16 +183,18 @@ mod tests {
 
     #[test]
     fn solver_effort_serializes_when_attached() {
-        let with = measure("s/with", 2, || 0).with_solver(SolverEffort {
+        let with = measure("s/with", 2, || 0).with_solver(SolveStats {
             assignments: 3,
             backtracks: 1,
             prunes: 42,
+            component_prunes: 7,
         });
         let without = measure("s/without", 2, || 0);
         let json = to_json(&[with, without]);
-        assert!(
-            json.contains("\"solver\": {\"assignments\": 3, \"backtracks\": 1, \"prunes\": 42}")
-        );
+        assert!(json.contains(
+            "\"solver\": {\"assignments\": 3, \"backtracks\": 1, \"prunes\": 42, \
+             \"component_prunes\": 7}"
+        ));
         // Only the record that carries counters gets the key.
         assert_eq!(json.matches("\"solver\"").count(), 1);
     }

@@ -15,15 +15,13 @@
 
 use std::sync::Arc;
 
-use gact_chromatic::{chr_identity, chr_step, ChromaticSubdivision, SimplicialMap};
+use gact_chromatic::{ChromaticSubdivision, SimplicialMap};
 use gact_tasks::{CompiledTask, Task};
 use gact_topology::{Simplex, VertexId};
 
 use crate::cache::QueryCache;
 use crate::control::{Interrupt, SolveControl, StopState};
-use crate::solver::{
-    prepare_domain, solve_compiled_interruptible, DomainTables, SolveOutcome, SolveStats,
-};
+use crate::solver::{solve_compiled_interruptible, SolveOutcome, SolveStats};
 
 /// Verdict of the bounded ACT search.
 #[derive(Debug)]
@@ -137,6 +135,10 @@ pub fn connectivity_obstruction(task: &Task) -> Option<Obstruction> {
 
 /// Bounded ACT decision: tries depths `0, 1, …, max_depth` in order.
 ///
+/// One-shot wrapper over [`act_solve_controlled`] with a throwaway
+/// [`QueryCache`] and an inert control; sweeps should share one cache
+/// across their queries instead.
+///
 /// # Examples
 ///
 /// The immediate-snapshot iterate task `Chr^1 s` is wait-free solvable at
@@ -158,24 +160,9 @@ pub fn connectivity_obstruction(task: &Task) -> Option<Obstruction> {
 /// ));
 /// ```
 pub fn act_solve(task: &Task, max_depth: usize) -> ActVerdict {
-    match act_engine(task, max_depth, None, None) {
+    match act_solve_controlled(task, max_depth, &QueryCache::new(), &SolveControl::new()) {
         ActOutcome::Done { verdict, .. } => verdict,
-        ActOutcome::Interrupted { .. } => unreachable!("uncontrolled query cannot be interrupted"),
-    }
-}
-
-/// [`act_solve`] through a [`QueryCache`]: each depth's `Chr^depth I`,
-/// its task-independent [`crate::solver::DomainTables`] *and* its
-/// [`crate::solver::PropagationPlan`] come from (and populate) the shared
-/// cache, so a sweep over tasks on the same input complex, or over depth
-/// bounds, builds every subdivision stage at most once. The verdict —
-/// including the found map and its depth — is byte-identical to
-/// [`act_solve`]'s for every input and thread count (pinned by the cache
-/// regression tests).
-pub fn act_solve_with_cache(task: &Task, max_depth: usize, cache: &QueryCache) -> ActVerdict {
-    match act_engine(task, max_depth, Some(cache), None) {
-        ActOutcome::Done { verdict, .. } => verdict,
-        ActOutcome::Interrupted { .. } => unreachable!("uncontrolled query cannot be interrupted"),
+        ActOutcome::Interrupted { .. } => unreachable!("an inert control cannot interrupt"),
     }
 }
 
@@ -186,7 +173,7 @@ pub fn act_solve_with_cache(task: &Task, max_depth: usize, cache: &QueryCache) -
 #[derive(Debug)]
 pub enum ActOutcome {
     /// The query ran to completion; the verdict is exactly what
-    /// [`act_solve`] / [`act_solve_with_cache`] would have returned.
+    /// [`act_solve`] would have returned.
     Done {
         /// The completed verdict.
         verdict: ActVerdict,
@@ -223,50 +210,42 @@ impl ActOutcome {
     }
 }
 
-/// [`act_solve_with_cache`] under a [`SolveControl`]: the cancellation
-/// token and budget are checked at every round boundary (before extending
-/// the subdivision chain to the next depth) and at the search layer's
-/// split points, so a cancelled or over-budget query returns an honest
-/// [`ActOutcome::Interrupted`] instead of running on.
+/// The incremental rounds engine: the bounded ACT decision through a
+/// shared [`QueryCache`], under a [`SolveControl`].
 ///
-/// With an inert control (no token, unlimited budget) the query takes the
-/// exact same code paths as [`act_solve_with_cache`] and its verdict is
-/// byte-identical — the engine equivalence tests pin this. An interrupted
-/// query never poisons `cache`: every cached artifact (subdivision stage,
-/// domain table, propagation plan) is only stored fully built, so
-/// re-submitting the same query afterwards returns the full answer.
-pub fn act_solve_controlled(
-    task: &Task,
-    max_depth: usize,
-    cache: Option<&QueryCache>,
-    control: &SolveControl,
-) -> ActOutcome {
-    act_engine(task, max_depth, cache, Some(control))
-}
-
-/// The incremental rounds engine behind both entry points.
-///
+/// Each depth's `Chr^depth I`, its task-independent
+/// [`crate::solver::DomainTables`] *and* its
+/// [`crate::solver::PropagationPlan`] come from (and populate) `cache`,
+/// so a sweep over tasks on the same input complex, or over depth
+/// bounds, builds every subdivision stage at most once; the cache extends
+/// `Chr^{m+1}` from its cached `Chr^m` instead of rebuilding per depth.
 /// One [`CompiledTask`] spans every depth, so the interned `Δ`-image
 /// tables and the class-level dead values the propagate layer learns at
 /// round `m` transfer to round `m + 1` (constraint classes are keyed by
-/// base-complex carriers, which recur at every round). The subdivision
-/// chain is extended stage by stage — [`chr_step`] from the previous
-/// round's `Chr^m` (or the shared cache, which extends the same way) —
-/// instead of rebuilding `Chr^m` from scratch per depth, which turns the
-/// depth loop's total subdivision work from quadratic in the chain into
-/// the chain itself.
-fn act_engine(
+/// base-complex carriers, which recur at every round). The verdict —
+/// including the found map and its depth — is the same for a warm or a
+/// fresh cache and every thread count (pinned by the cache regression
+/// tests).
+///
+/// The cancellation token and budget are checked at every round boundary
+/// (before extending the subdivision chain to the next depth) and at the
+/// search layer's split points, so a cancelled or over-budget query
+/// returns an honest [`ActOutcome::Interrupted`] instead of running on.
+/// An inert control (no token, unlimited budget) installs no stop state
+/// and never interrupts. An interrupted query never poisons `cache`:
+/// every cached artifact (subdivision stage, domain table, propagation
+/// plan) is only stored fully built, so re-submitting the same query
+/// afterwards returns the full answer.
+pub fn act_solve_controlled(
     task: &Task,
     max_depth: usize,
-    cache: Option<&QueryCache>,
-    control: Option<&SolveControl>,
+    cache: &QueryCache,
+    control: &SolveControl,
 ) -> ActOutcome {
-    // An inert control takes the uncontrolled fast path: no stop state,
-    // no per-node checks, byte-identical behavior.
-    let stop_box = control
-        .filter(|c| !c.is_inert())
-        .map(|c| (c, StopState::new(c)));
-    let stop = stop_box.as_ref().map(|(_, s)| s);
+    // An inert control takes the fast path: no stop state, no per-node
+    // checks.
+    let stop = (!control.is_inert()).then(|| StopState::new(control));
+    let stop = stop.as_ref();
     let mut acc = SolveStats::default();
     let interrupted = |reason, completed_depths, acc| ActOutcome::Interrupted {
         reason,
@@ -285,15 +264,12 @@ fn act_engine(
         };
     }
     let compiled = CompiledTask::new(task);
-    let key = cache.map(|c| c.key_of(&task.input, &task.input_geometry));
-    // The local incremental chain of the uncached path (the cached path
-    // keeps its chain inside the QueryCache).
-    let mut chain: Option<Arc<ChromaticSubdivision>> = None;
+    let key = cache.key_of(&task.input, &task.input_geometry);
     for depth in 0..=max_depth {
         // Round boundary: cancellation / deadline / node budget, plus the
         // round allowance — a `max_rounds` budget below the requested
         // depth stops the chain honestly instead of silently truncating.
-        if let Some((control, stop)) = &stop_box {
+        if let Some(stop) = stop {
             if let Err(reason) = stop.boundary() {
                 return interrupted(reason, depth, acc);
             }
@@ -301,45 +277,21 @@ fn act_engine(
                 return interrupted(Interrupt::RoundBudgetExhausted, depth, acc);
             }
         }
-        let sd: Arc<ChromaticSubdivision> = match cache {
-            Some(c) => c.subdivision_keyed(
-                key.expect("key computed"),
-                &task.input,
-                &task.input_geometry,
-                depth,
-            ),
-            None => {
-                let next = match chain.take() {
-                    None => Arc::new(chr_identity(&task.input, &task.input_geometry)),
-                    Some(prev) => Arc::new(chr_step(&prev)),
-                };
-                chain = Some(next.clone());
-                next
-            }
-        };
-        let tables: Arc<DomainTables> = match cache {
-            Some(c) => c.domain_tables(key.expect("key computed"), depth, &sd),
-            None => Arc::new(prepare_domain(&sd.complex, &sd.vertex_carrier)),
-        };
+        let sd = cache.subdivision_keyed(key, &task.input, &task.input_geometry, depth);
+        let tables = cache.domain_tables(key, depth, &sd);
         // The propagation plan is supplied *lazily*: the engine only asks
         // for it when the instance is large enough to propagate and no
         // initial domain is empty, so short-circuited depths (empty solo
         // images, tiny rounds) never build — or cache — a plan at all.
-        let outcome = match cache {
-            Some(c) => {
-                let key = key.expect("key computed");
-                let source = || c.propagation_plan(key, depth, &tables, &sd);
-                solve_compiled_interruptible(
-                    &tables,
-                    &sd.complex,
-                    &compiled,
-                    None,
-                    Some(&source),
-                    stop,
-                )
-            }
-            None => solve_compiled_interruptible(&tables, &sd.complex, &compiled, None, None, stop),
-        };
+        let source = || cache.propagation_plan(key, depth, &tables, &sd);
+        let outcome = solve_compiled_interruptible(
+            &tables,
+            &sd.complex,
+            &compiled,
+            None,
+            Some(&source),
+            stop,
+        );
         acc.assignments += outcome.stats().assignments;
         acc.backtracks += outcome.stats().backtracks;
         acc.prunes += outcome.stats().prunes;

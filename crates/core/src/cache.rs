@@ -28,9 +28,10 @@
 //! [`QueryCache::plan_stats`], [`SubdivisionCache::stats`]) that the
 //! `scenarios --json` report exports.
 //!
-//! [`crate::act::act_solve_with_cache`] is the cache-aware solvability
-//! entry point; results are byte-identical to the cold
-//! [`crate::act::act_solve`] for every input and thread count (pinned by
+//! [`crate::act::act_solve_controlled`] is the cache-aware solvability
+//! entry point; its verdicts against a shared warm cache are
+//! byte-identical to the one-shot [`crate::act::act_solve`] (which runs
+//! it on a throwaway cache) for every input and thread count (pinned by
 //! the cache regression tests).
 
 use std::collections::HashMap;
@@ -174,14 +175,19 @@ type ShowcaseResult = Result<Arc<LtShowcase>, String>;
 ///
 /// ```
 /// use gact::cache::QueryCache;
-/// use gact::act_solve_with_cache;
+/// use gact::{act_solve_controlled, SolveControl};
 /// use gact_tasks::affine::full_subdivision_task;
 ///
 /// let cache = QueryCache::new();
 /// let at = full_subdivision_task(1, 1);
+/// let solvable = |cache: &QueryCache| {
+///     act_solve_controlled(&at.task, 1, cache, &SolveControl::new())
+///         .verdict()
+///         .is_some_and(|v| v.is_solvable())
+/// };
 /// // First query builds Chr^0 and Chr^1 of the edge; a repeat is all hits.
-/// assert!(act_solve_with_cache(&at.task, 1, &cache).is_solvable());
-/// assert!(act_solve_with_cache(&at.task, 1, &cache).is_solvable());
+/// assert!(solvable(&cache));
+/// assert!(solvable(&cache));
 /// assert!(cache.subdivisions().stats().hits > 0);
 /// ```
 #[derive(Debug)]

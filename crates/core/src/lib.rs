@@ -19,8 +19,7 @@ pub mod render;
 pub mod solver;
 
 pub use act::{
-    act_solve, act_solve_controlled, act_solve_with_cache, connectivity_obstruction, ActOutcome,
-    ActVerdict, Obstruction,
+    act_solve, act_solve_controlled, connectivity_obstruction, ActOutcome, ActVerdict, Obstruction,
 };
 pub use approx::{is_simplicial_approximation, simplicial_approximation, Approximation};
 pub use cache::QueryCache;
@@ -30,6 +29,6 @@ pub use lt::{build_lt_showcase, radial_projection, LtShowcase};
 pub use protocol::{verify_protocol_on_runs, CertificateProtocol, RunVerification};
 pub use render::Scene;
 pub use solver::{
-    prepare_domain, prepare_plan, solve, solve_compiled, solve_compiled_with, solve_prepared,
-    validate_solution, DomainTables, MapProblem, PropagationPlan, SolveOutcome, SolveStats,
+    prepare_domain, prepare_plan, solve, solve_compiled_with, validate_solution, DomainTables,
+    MapProblem, PropagationPlan, SolveOutcome, SolveStats,
 };

@@ -54,7 +54,7 @@
 //! round)` (see `gact::cache::QueryCache`), and a task half compiled once
 //! per query into a [`gact_tasks::CompiledTask`] whose interned `Δ`-image
 //! tables and class-level dead values transfer across the rounds of an
-//! incremental `Chr^m` sweep (see `gact::act_solve`).
+//! incremental `Chr^m` sweep (see `gact::act_solve_controlled`).
 
 pub mod domains;
 pub mod propagate;
@@ -154,8 +154,8 @@ impl SolveOutcome {
 /// restricts.
 pub type DomainHint = dyn Fn(VertexId, &[VertexId]) -> Vec<VertexId> + Sync;
 
-/// Below this many constraint simplices, [`solve_compiled`] bypasses the
-/// propagation layer and runs the chronological engine directly. Tiny
+/// Below this many constraint simplices, [`solve_compiled_with`] bypasses
+/// the propagation layer and runs the chronological engine directly. Tiny
 /// instances finish in microseconds either way — their one-step-lookahead
 /// search is already near-optimal — so the per-class table machinery is
 /// pure overhead there, while the two engines return identical results by
@@ -167,9 +167,8 @@ pub const PROPAGATION_MIN_CONSTRAINTS: usize = 128;
 /// Decides existence of `δ : A → O` with `δ(σ) ∈ Δ(carrier σ)`.
 ///
 /// One-shot entry point: prepares the [`DomainTables`], the
-/// [`PropagationPlan`], and the [`CompiledTask`] inline, then runs
-/// [`solve_compiled`]. Sweeps should prepare those once and call the
-/// staged entry points instead.
+/// [`PropagationPlan`], and the [`CompiledTask`] inline. Sweeps should
+/// prepare those once and call [`solve_compiled_with`] instead.
 ///
 /// `domain_hint` optionally orders each vertex's candidate list (e.g. by
 /// geometric proximity under a continuous map being approximated); it
@@ -178,56 +177,27 @@ pub const PROPAGATION_MIN_CONSTRAINTS: usize = 128;
 pub fn solve(problem: &MapProblem<'_>, domain_hint: Option<&DomainHint>) -> SolveOutcome {
     let tables = prepare_domain(problem.domain, problem.vertex_carrier);
     let compiled = CompiledTask::new(problem.task);
-    solve_compiled(&tables, None, problem.domain, &compiled, domain_hint)
+    solve_compiled_interruptible(&tables, problem.domain, &compiled, domain_hint, None, None)
 }
 
-/// [`solve`] against precomputed [`DomainTables`]: prepares the
-/// propagation plan and compiled task inline. Returns exactly what
-/// [`solve`] returns for the same problem, for any thread count.
+/// The staged entry point of the layered engine: the task-independent
+/// [`DomainTables`] and the per-task [`CompiledTask`] are supplied by the
+/// caller, so an incremental rounds-sweep (see
+/// `gact::act_solve_controlled`) pays only for the propagation fixpoint
+/// and whatever search survives it.
 ///
-/// # Panics
-///
-/// Panics (or returns nonsense) if `tables` was prepared for a different
-/// domain complex than `domain`.
-pub fn solve_prepared(
-    tables: &DomainTables,
-    domain: &ChromaticComplex,
-    task: &Task,
-    domain_hint: Option<&DomainHint>,
-) -> SolveOutcome {
-    let compiled = CompiledTask::new(task);
-    solve_compiled(tables, None, domain, &compiled, domain_hint)
-}
-
-/// The fully staged entry point of the layered engine: every reusable
-/// artifact — the task-independent [`DomainTables`] and (optionally) the
-/// [`PropagationPlan`], and the per-task [`CompiledTask`] — is supplied
-/// by the caller, so an incremental rounds-sweep (see `gact::act_solve`)
-/// pays only for the propagation fixpoint and whatever search survives
-/// it. Pass `plan: None` to let the engine build the plan itself — it
-/// only does so when the instance is large enough to propagate at all.
-///
-/// # Panics
-///
-/// Panics (or returns nonsense) if `tables`/`plan` were prepared for a
-/// different domain complex than `domain`, or `compiled` wraps a task
-/// other than the one being queried.
-pub fn solve_compiled(
-    tables: &DomainTables,
-    plan: Option<&PropagationPlan>,
-    domain: &ChromaticComplex,
-    compiled: &CompiledTask<'_>,
-    domain_hint: Option<&DomainHint>,
-) -> SolveOutcome {
-    solve_with_plan(tables, domain, compiled, domain_hint, None, plan, None)
-}
-
-/// [`solve_compiled`] with a *lazy* plan source: the source is consulted
+/// The [`PropagationPlan`] comes from a *lazy* source: it is consulted
 /// only when the instance is large enough to propagate **and** no initial
 /// domain is empty — instances refuted before propagation (the common
 /// case for wait-free sweeps over tasks with empty solo images) never
 /// pay for a plan, cached or not. Pass `None` to build the plan inline
 /// under the same conditions.
+///
+/// # Panics
+///
+/// Panics (or returns nonsense) if `tables`/the plan were prepared for a
+/// different domain complex than `domain`, or `compiled` wraps a task
+/// other than the one being queried.
 pub fn solve_compiled_with(
     tables: &DomainTables,
     domain: &ChromaticComplex,
@@ -235,52 +205,22 @@ pub fn solve_compiled_with(
     domain_hint: Option<&DomainHint>,
     plan_source: Option<&(dyn Fn() -> Arc<PropagationPlan> + '_)>,
 ) -> SolveOutcome {
-    solve_with_plan(
-        tables,
-        domain,
-        compiled,
-        domain_hint,
-        plan_source,
-        None,
-        None,
-    )
+    solve_compiled_interruptible(tables, domain, compiled, domain_hint, plan_source, None)
 }
 
-/// [`solve_compiled_with`] under a controlled query's stop state: the
-/// search layer polls the stop at its split points and unwinds early when
-/// it trips. The caller is responsible for interpreting an
-/// `Unsatisfiable` outcome under a tripped stop as *interrupted*, not
-/// exhausted (see [`crate::act::act_solve_controlled`]). With `stop:
-/// None` this is exactly [`solve_compiled_with`].
+/// The engine body: bypass check, bucket stage, (lazy) plan resolution,
+/// propagation, hint ordering, search — under a controlled query's stop
+/// state when `stop` is given. The search layer polls the stop at its
+/// split points and unwinds early when it trips; the caller is
+/// responsible for interpreting an `Unsatisfiable` outcome under a
+/// tripped stop as *interrupted*, not exhausted (see
+/// [`crate::act::act_solve_controlled`]).
 pub(crate) fn solve_compiled_interruptible(
     tables: &DomainTables,
     domain: &ChromaticComplex,
     compiled: &CompiledTask<'_>,
     domain_hint: Option<&DomainHint>,
     plan_source: Option<&(dyn Fn() -> Arc<PropagationPlan> + '_)>,
-    stop: Option<&StopState<'_>>,
-) -> SolveOutcome {
-    solve_with_plan(
-        tables,
-        domain,
-        compiled,
-        domain_hint,
-        plan_source,
-        None,
-        stop,
-    )
-}
-
-/// The engine body behind the staged entry points: bypass check, bucket
-/// stage, (lazy) plan resolution, propagation, hint ordering, search.
-#[allow(clippy::too_many_arguments)]
-fn solve_with_plan(
-    tables: &DomainTables,
-    domain: &ChromaticComplex,
-    compiled: &CompiledTask<'_>,
-    domain_hint: Option<&DomainHint>,
-    plan_source: Option<&(dyn Fn() -> Arc<PropagationPlan> + '_)>,
-    ready_plan: Option<&PropagationPlan>,
     stop: Option<&StopState<'_>>,
 ) -> SolveOutcome {
     let task = compiled.task();
@@ -293,7 +233,7 @@ fn solve_with_plan(
     // granularity for controlled queries is the round boundary here, and
     // their node spend still lands in the budget accounting.
     if tables.constraint_count() < PROPAGATION_MIN_CONSTRAINTS {
-        let outcome = reference::solve_prepared_reference(tables, domain, task, domain_hint);
+        let outcome = reference::solve_reference_with_tables(tables, domain, task, domain_hint);
         if let Some(stop) = stop {
             stop.add_nodes(outcome.stats().assignments);
         }
@@ -307,17 +247,9 @@ fn solve_with_plan(
     if stage.any_empty() {
         return SolveOutcome::Unsatisfiable(SolveStats::default());
     }
-    let built_plan;
-    let plan: &PropagationPlan = match (ready_plan, plan_source) {
-        (Some(plan), _) => plan,
-        (None, Some(source)) => {
-            built_plan = source();
-            &built_plan
-        }
-        (None, None) => {
-            built_plan = Arc::new(prepare_plan(tables, domain));
-            &built_plan
-        }
+    let plan: Arc<PropagationPlan> = match plan_source {
+        Some(source) => source(),
+        None => Arc::new(prepare_plan(tables, domain)),
     };
 
     // Δ images per interned carrier id, for the search layer's
@@ -331,7 +263,7 @@ fn solve_with_plan(
         .collect();
 
     // Propagate: class-level dead values plus the AC-3 fixpoint.
-    let prop = propagate::propagate(tables, plan, compiled, stage);
+    let prop = propagate::propagate(tables, &plan, compiled, stage);
     let stats = SolveStats {
         prunes: prop.prunes,
         component_prunes: prop.component_prunes,

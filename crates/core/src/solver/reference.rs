@@ -27,14 +27,14 @@ use gact_chromatic::SimplicialMap;
 /// tables inline.
 pub fn solve_reference(problem: &MapProblem<'_>, domain_hint: Option<&DomainHint>) -> SolveOutcome {
     let tables = prepare_domain(problem.domain, problem.vertex_carrier);
-    solve_prepared_reference(&tables, problem.domain, problem.task, domain_hint)
+    solve_reference_with_tables(&tables, problem.domain, problem.task, domain_hint)
 }
 
-/// [`solve_reference`] against precomputed [`DomainTables`] (the old
-/// `solve_prepared`): builds the `Δ`-image table and the per-vertex
-/// candidate domains (hint applied to the full list), orders variables,
-/// and searches — with no propagation pass.
-pub fn solve_prepared_reference(
+/// [`solve_reference`] against precomputed [`DomainTables`] (also the
+/// layered engine's small-instance bypass): builds the `Δ`-image table
+/// and the per-vertex candidate domains (hint applied to the full list),
+/// orders variables, and searches — with no propagation pass.
+pub fn solve_reference_with_tables(
     tables: &DomainTables,
     domain: &ChromaticComplex,
     task: &Task,

@@ -12,15 +12,17 @@
 //!                                             # deadline come back interrupted
 //! ```
 //!
-//! Engine-routed runs write the schema-2 JSON report (schema-1 fields
-//! plus the engine stats snapshot under `"engine"`); the `--cold`
-//! baseline bypasses the engine and writes schema 1. Both schemas are
-//! documented in `gact_scenarios::report` and `docs/benchmarks.md`.
+//! Both paths validate the same `MatrixRequest` (family, filter, budget)
+//! and write the schema-2 JSON report documented in
+//! `gact_scenarios::report` and `docs/benchmarks.md`. Engine-routed runs
+//! attach the engine stats snapshot under `"engine"`; the `--cold`
+//! reference run bypasses the engine, evaluates every cell against its
+//! own fresh cache, and omits that key.
 
 use std::time::Duration;
 
 use gact_engine::{Budget, Engine, EngineError, MatrixRequest};
-use gact_scenarios::{cells_for, families, run_matrix_cold, to_json, to_json_controlled};
+use gact_scenarios::{cells_for, families, run_matrix_cold, to_json_controlled};
 
 fn usage() -> ! {
     eprintln!(
@@ -30,9 +32,8 @@ fn usage() -> ! {
          --list           print registered families and exit\n\
          --family NAME    family to run (default: all)\n\
          --filter SUBSTR  keep only cells whose label contains SUBSTR\n\
-         --json [PATH]    also write the JSON report (default path:\n\
-         \x20                scenarios_results.json; schema 2 through the engine,\n\
-         \x20                schema 1 for --cold)\n\
+         --json [PATH]    also write the schema-2 JSON report (default path:\n\
+         \x20                scenarios_results.json; no \"engine\" key for --cold)\n\
          --cold           fresh cache per cell (the uncached baseline; bypasses\n\
          \x20                the engine)\n\
          --threads N      run the sweep on an N-worker pool (results are\n\
@@ -128,10 +129,10 @@ fn main() {
         i += 1;
     }
 
-    // --cold is the engine-free baseline: fresh cache per cell, schema-1
-    // JSON — exactly what the cache/facade layers are compared against.
-    // Budgets are an engine feature; silently dropping them would let a
-    // "bounded" run go unbounded, so the combination is an error.
+    // --cold is the engine-free baseline: fresh cache per cell — exactly
+    // what the cache/facade layers are compared against. Budgets are an
+    // engine feature; silently dropping them would let a "bounded" run go
+    // unbounded, so the combination is an error.
     if cold && (deadline_ms.is_some() || max_nodes.is_some()) {
         eprintln!(
             "scenarios: --cold bypasses the engine and supports no budget; \
@@ -139,66 +140,9 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if cold {
-        let Some(mut cells) = cells_for(&family) else {
-            fail(EngineError::invalid(
-                "family",
-                format!("`{family}` is not a registered family"),
-            ));
-        };
-        if let Some(f) = &filter {
-            cells.retain(|c| c.label().contains(f.as_str()));
-        }
-        if cells.is_empty() {
-            eprintln!("no cells left after --filter; nothing to do");
-            std::process::exit(1);
-        }
-        println!(
-            "scenario matrix `{family}`: {} cells (cold per-cell)",
-            cells.len()
-        );
-        let sweep = || run_matrix_cold(&cells);
-        let report = match threads {
-            Some(n) => gact_parallel::with_threads(n, sweep),
-            None => sweep(),
-        };
-        println!(
-            "  {:<14} {:<34} {:<12} {:<18} detail",
-            "family", "task × model", "verdict", "wall"
-        );
-        for r in &report.results {
-            println!(
-                "  {:<14} {:<34} {:<12} {:<18} {}",
-                r.cell.family,
-                r.cell.label(),
-                r.verdict.kind(),
-                format!("{:?}", r.wall),
-                r.verdict.detail()
-            );
-        }
-        println!(
-            "\n{} cells in {:?} ({:.1} cells/sec)",
-            report.results.len(),
-            report.total_wall,
-            report.cells_per_sec(),
-        );
-        if let Some(path) = json_path {
-            let json = to_json(&family, &report);
-            std::fs::write(&path, &json).unwrap_or_else(|e| {
-                fail(EngineError::Internal(format!("cannot write {path}: {e}")))
-            });
-            println!("wrote {} cells to {path}", report.results.len());
-        }
-        return;
-    }
 
-    // The engine path: one session object owns every cache; the request
-    // carries the filter and the budget, validated before anything runs.
-    let mut builder = Engine::builder();
-    if let Some(n) = threads {
-        builder = builder.threads(n).unwrap_or_else(|e| fail(e));
-    }
-    let engine = builder.build();
+    // One request for both paths: the family, the filter and the budget
+    // are validated before anything runs.
     let mut request = MatrixRequest::family(&family).unwrap_or_else(|e| fail(e));
     if let Some(f) = &filter {
         request = request.filtered(f).unwrap_or_else(|e| fail(e));
@@ -213,8 +157,13 @@ fn main() {
     request = request.with_budget(budget).unwrap_or_else(|e| fail(e));
 
     println!(
-        "scenario matrix `{family}`: {} cells (engine, shared cache{}{})",
+        "scenario matrix `{family}`: {} cells ({}{}{})",
         request.cells().len(),
+        if cold {
+            "cold per-cell"
+        } else {
+            "engine, shared cache"
+        },
         threads
             .map(|n| format!(", {n} threads"))
             .unwrap_or_default(),
@@ -222,8 +171,24 @@ fn main() {
             .map(|ms| format!(", {ms}ms deadline"))
             .unwrap_or_default()
     );
-    let reply = engine.matrix(&request).unwrap_or_else(|e| fail(e));
-    let report = &reply.report;
+    // The engine path: one session object owns every cache. The cold path
+    // runs the per-cell reference on the same pool size.
+    let (report, stats) = if cold {
+        let sweep = || run_matrix_cold(request.cells());
+        let report = match threads {
+            Some(n) => gact_parallel::with_threads(n, sweep),
+            None => sweep(),
+        };
+        (report, None)
+    } else {
+        let mut builder = Engine::builder();
+        if let Some(n) = threads {
+            builder = builder.threads(n).unwrap_or_else(|e| fail(e));
+        }
+        let engine = builder.build();
+        let reply = engine.matrix(&request).unwrap_or_else(|e| fail(e));
+        (reply.report, Some(engine.stats()))
+    };
 
     println!(
         "  {:<14} {:<34} {:<12} {:<18} detail",
@@ -253,40 +218,42 @@ fn main() {
             String::new()
         },
     );
-    let stats = engine.stats();
-    let sub = stats.subdivision_cache;
-    let tab = stats.domain_table_cache;
-    let plan = stats.propagation_plan_cache;
-    println!(
-        "cache: subdivisions {}/{} hits ({:.0}%), domain tables {}/{} hits ({:.0}%), \
-         propagation plans {}/{} hits ({:.0}%)",
-        sub.hits,
-        sub.hits + sub.misses,
-        100.0 * sub.hit_rate(),
-        tab.hits,
-        tab.hits + tab.misses,
-        100.0 * tab.hit_rate(),
-        plan.hits,
-        plan.hits + plan.misses,
-        100.0 * plan.hit_rate(),
-    );
-    println!(
-        "engine: {} queries, {} cells, {} interrupted, solver {{assignments: {}, backtracks: {}, \
-         prunes: {}}}",
-        stats.queries(),
-        stats.cells,
-        stats.interrupted,
-        stats.solver.assignments,
-        stats.solver.backtracks,
-        stats.solver.prunes,
-    );
-    let evictions = sub.evictions + tab.evictions + plan.evictions;
-    if evictions > 0 {
-        println!("cache evictions under the capacity bound: {evictions}");
+    if let Some(stats) = &stats {
+        let sub = stats.subdivision_cache;
+        let tab = stats.domain_table_cache;
+        let plan = stats.propagation_plan_cache;
+        println!(
+            "cache: subdivisions {}/{} hits ({:.0}%), domain tables {}/{} hits ({:.0}%), \
+             propagation plans {}/{} hits ({:.0}%)",
+            sub.hits,
+            sub.hits + sub.misses,
+            100.0 * sub.hit_rate(),
+            tab.hits,
+            tab.hits + tab.misses,
+            100.0 * tab.hit_rate(),
+            plan.hits,
+            plan.hits + plan.misses,
+            100.0 * plan.hit_rate(),
+        );
+        println!(
+            "engine: {} queries, {} cells, {} interrupted, solver {{assignments: {}, backtracks: {}, \
+             prunes: {}}}",
+            stats.queries(),
+            stats.cells,
+            stats.interrupted,
+            stats.solver.assignments,
+            stats.solver.backtracks,
+            stats.solver.prunes,
+        );
+        let evictions = sub.evictions + tab.evictions + plan.evictions;
+        if evictions > 0 {
+            println!("cache evictions under the capacity bound: {evictions}");
+        }
     }
 
     if let Some(path) = json_path {
-        let json = to_json_controlled(&family, report, Some(&stats.to_json_object()));
+        let engine_json = stats.map(|s| s.to_json_object());
+        let json = to_json_controlled(&family, &report, engine_json.as_deref());
         std::fs::write(&path, &json)
             .unwrap_or_else(|e| fail(EngineError::Internal(format!("cannot write {path}: {e}"))));
         println!("wrote {} cells to {path}", report.results.len());

@@ -106,8 +106,9 @@ impl Counters {
 /// concurrent submission.
 ///
 /// Completed answers are byte-identical to the direct pipeline entry
-/// points (`act_solve_with_cache`, `run_matrix`) for every input and
-/// thread count; requests carrying a budget or cancel token come back
+/// points (`gact::act_solve`, `gact_scenarios::run_matrix_cold`) for
+/// every input and thread count; requests carrying a budget or cancel
+/// token come back
 /// with honest `Interrupted` outcomes when governance trips, and an
 /// interrupted request never poisons the caches — the same engine answers
 /// the repeated query in full.
@@ -306,9 +307,10 @@ impl Engine {
 
     /// Serves a single solvability query.
     ///
-    /// The verdict of a completed query is byte-identical to
-    /// `gact::act_solve_with_cache` against this engine's cache; a
-    /// governed query whose budget or token trips returns
+    /// The verdict of a completed query is byte-identical to the one-shot
+    /// `gact::act_solve` (the engine runs `gact::act_solve_controlled`
+    /// against its shared cache); a governed query whose budget or token
+    /// trips returns
     /// [`SolveVerdict::Interrupted`] with the depths completed so far.
     ///
     /// # Errors
@@ -343,9 +345,8 @@ impl Engine {
             .task()
             .build_task(&self.cache)
             .expect("validated non-protocol specs build tasks");
-        let outcome = self.scoped(|| {
-            act_solve_controlled(&task, request.max_depth(), Some(&self.cache), &control)
-        });
+        let outcome =
+            self.scoped(|| act_solve_controlled(&task, request.max_depth(), &self.cache, &control));
         let stats = outcome.stats();
         self.counters.solves.fetch_add(1, Ordering::Relaxed);
         self.counters.add_solver(stats);
@@ -386,9 +387,10 @@ impl Engine {
     }
 
     /// Serves a batch sweep: every cell evaluated against this engine's
-    /// shared caches, fanned across the worker pool, with per-cell
-    /// verdicts byte-identical to `gact_scenarios::run_matrix` for
-    /// completed cells.
+    /// shared caches through `gact_scenarios::run_matrix_controlled`,
+    /// fanned across the worker pool, with per-cell verdicts
+    /// byte-identical to the per-cell cold reference
+    /// `gact_scenarios::run_matrix_cold` for completed cells.
     ///
     /// # Errors
     ///

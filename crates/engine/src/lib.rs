@@ -3,9 +3,9 @@
 //! The service-grade facade of the GACT reproduction: one long-lived
 //! [`Engine`] session object in front of the whole decision pipeline.
 //!
-//! The research-shaped entry points (`gact::act_solve_with_cache`,
-//! `gact_scenarios::run_matrix`) hand-thread caches through free
-//! functions and panic on invalid input. The engine wraps them in the
+//! The research-shaped entry points (`gact::act_solve_controlled`,
+//! `gact_scenarios::run_matrix_controlled`) hand-thread caches through
+//! free functions and panic on invalid input. The engine wraps them in the
 //! front-door shape a production decision service needs:
 //!
 //! * **one session object** — an [`Engine`] owns every cache layer

@@ -1,15 +1,15 @@
 //! The facade contract: `Engine` answers are byte-identical to the direct
-//! pipeline entry points — verdicts AND maps — for every thread count,
-//! and governance (budgets, cancellation) never poisons the shared
-//! caches.
+//! pipeline entry points — the one-shot `act_solve` and the per-cell cold
+//! `run_matrix_cold`, verdicts AND maps — for every thread count, and
+//! governance (budgets, cancellation) never poisons the shared caches.
 
 use proptest::prelude::*;
 
 use gact::cache::QueryCache;
-use gact::{act_solve_with_cache, ActVerdict};
+use gact::{act_solve, ActVerdict};
 use gact_engine::{Budget, CancelToken, Engine, MatrixRequest, SolveRequest, SolveVerdict};
 use gact_parallel::with_threads;
-use gact_scenarios::{cells_for, run_matrix, TaskSpec};
+use gact_scenarios::{cells_for, run_matrix_cold, TaskSpec};
 
 /// Canonical form of a solve outcome for equality: kind, depth, and the
 /// full found map as sorted vertex pairs.
@@ -87,15 +87,14 @@ fn spec_menu() -> Vec<(TaskSpec, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Engine solve replies equal the direct `act_solve_with_cache` path
-    /// — verdict AND map — at 1 and 8 threads.
+    /// Engine solve replies equal the one-shot `act_solve` on a fresh
+    /// cache — verdict AND map — at 1 and 8 threads.
     #[test]
     fn solve_matches_direct_path(index in 0usize..6, threads in proptest::sample::select(vec![1usize, 8])) {
         let (spec, depth) = spec_menu()[index];
         let (direct, routed) = with_threads(threads, || {
-            let direct_cache = QueryCache::new();
-            let task = spec.build_task(&direct_cache).expect("solvable spec menu");
-            let direct = act_digest(&act_solve_with_cache(&task, depth, &direct_cache));
+            let task = spec.build_task(&QueryCache::new()).expect("solvable spec menu");
+            let direct = act_digest(&act_solve(&task, depth));
 
             let engine = Engine::new();
             let reply = engine
@@ -106,8 +105,8 @@ proptest! {
         prop_assert_eq!(direct, routed);
     }
 
-    /// Engine matrix sweeps equal `run_matrix` verdicts cell by cell, at
-    /// 1 and 8 threads.
+    /// Engine matrix sweeps equal the per-cell cold `run_matrix_cold`
+    /// verdicts cell by cell, at 1 and 8 threads.
     #[test]
     fn matrix_matches_direct_path(
         family in proptest::sample::select(vec!["smoke", "wf-classic", "rounds-sweep"]),
@@ -115,7 +114,7 @@ proptest! {
     ) {
         let (direct, routed) = with_threads(threads, || {
             let cells = cells_for(family).expect("registered family");
-            let direct = run_matrix(&cells, &QueryCache::new());
+            let direct = run_matrix_cold(&cells);
             let engine = Engine::new();
             let reply = engine
                 .matrix(&MatrixRequest::family(family).unwrap())
@@ -123,7 +122,10 @@ proptest! {
             let direct: Vec<_> = direct
                 .results
                 .into_iter()
-                .map(|r| (r.cell, r.verdict))
+                .map(|r| {
+                    let v = r.outcome.verdict().cloned().expect("the cold reference completes");
+                    (r.cell, v)
+                })
                 .collect();
             let routed: Vec<_> = reply
                 .report

@@ -11,8 +11,7 @@
 //! same participant set — which is exactly `∞-part(r)`. Every model in the
 //! paper (`WF`, `Res_t`, `OF_k`, adversaries) is determined by `part` and
 //! `fast`, so ultimately periodic representatives exercise all of them, and
-//! all limit notions are computed *exactly* on this class (see DESIGN.md,
-//! "Substitutions").
+//! all limit notions are computed *exactly* on this class.
 
 use std::fmt;
 

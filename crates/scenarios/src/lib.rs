@@ -11,32 +11,36 @@
 //! * [`spec::TaskSpec`] and [`gact_models::ModelSpec`] name the two axes
 //!   declaratively (every task constructor in `gact-tasks` × every model
 //!   family in `gact-models`);
-//! * [`matrix::Cell`] is one concrete query; [`matrix::run_matrix`] fans
-//!   a batch of cells across the [`gact_parallel`] pool and returns
-//!   sound, deterministic per-cell [`matrix::Verdict`]s in cell order;
+//! * [`matrix::Cell`] is one concrete query;
+//!   [`matrix::run_matrix_controlled`] fans a batch of cells across the
+//!   [`gact_parallel`] pool under a [`gact::control::SolveControl`] and
+//!   returns sound, deterministic per-cell [`matrix::CellOutcome`]s in
+//!   cell order;
 //! * [`registry`] holds the named families (`wf-classic`, `rounds-sweep`,
 //!   `resilient`, …; `all` spans every family);
-//! * [`report`] serializes sweep reports as schema-1 JSON.
+//! * [`report`] serializes sweep reports as schema-2 JSON.
 //!
 //! All cells of a sweep share one [`gact::cache::QueryCache`], so
 //! chromatic subdivisions `Chr^m` and the solver's interned-carrier
 //! domain tables are built once per `(protocol complex, round count)` for
 //! the whole matrix instead of once per cell —
-//! [`matrix::run_matrix_cold`] is the uncached baseline the bench
-//! harness compares against.
+//! [`matrix::run_matrix_cold`] is the per-cell cold reference the bench
+//! harness and the equivalence tests compare against.
 //!
 //! ## Example
 //!
 //! ```
 //! use gact::cache::QueryCache;
-//! use gact_scenarios::{cells_for, run_matrix};
+//! use gact::control::SolveControl;
+//! use gact_scenarios::{cells_for, run_matrix_controlled};
 //!
 //! let cells = cells_for("smoke").expect("registered family");
 //! let cache = QueryCache::new();
-//! let report = run_matrix(&cells, &cache);
+//! let report = run_matrix_controlled(&cells, &cache, &SolveControl::new());
 //! assert_eq!(report.results.len(), cells.len());
-//! // Every smoke cell gets a deterministic verdict.
-//! assert!(report.results.iter().all(|r| !r.verdict.detail().is_empty()));
+//! // An inert control decides every smoke cell deterministically.
+//! assert_eq!(report.interrupted, 0);
+//! assert!(report.results.iter().all(|r| r.outcome.verdict().is_some()));
 //! ```
 //!
 //! The `scenarios` binary exposes the same engine on the command line:
@@ -50,10 +54,9 @@ pub mod report;
 pub mod spec;
 
 pub use matrix::{
-    evaluate_cell, evaluate_cell_controlled, run_matrix, run_matrix_cold, run_matrix_controlled,
-    Cell, CellOutcome, CellResult, ControlledCellResult, ControlledMatrixReport, MatrixReport,
-    SolvableBy, Verdict,
+    evaluate_cell_controlled, run_matrix_cold, run_matrix_controlled, Cell, CellOutcome,
+    ControlledCellResult, ControlledMatrixReport, SolvableBy, Verdict,
 };
 pub use registry::{cells_for, families, Family};
-pub use report::{cache_stats_json, count_cells, solve_stats_json, to_json, to_json_controlled};
+pub use report::{cache_stats_json, count_cells, solve_stats_json, to_json_controlled};
 pub use spec::TaskSpec;

@@ -2,11 +2,12 @@
 //! the GACT pipeline, in parallel, with deterministic per-cell verdicts.
 //!
 //! A [`Cell`] is one concrete solvability (or protocol-conformance) query;
-//! [`run_matrix`] fans a batch of cells across the
-//! [`gact_parallel`] pool and reports verdicts in cell order. All cells of
+//! [`run_matrix_controlled`] fans a batch of cells across the
+//! [`gact_parallel`] pool and reports outcomes in cell order. All cells of
 //! a run share one [`QueryCache`], so iterated subdivisions and solver
 //! domain tables are built once per `(protocol complex, round)` for the
-//! whole sweep instead of once per cell.
+//! whole sweep instead of once per cell; [`run_matrix_cold`] is the
+//! per-cell cold reference it is compared against.
 //!
 //! ## Verdict semantics
 //!
@@ -160,68 +161,6 @@ impl Verdict {
     }
 }
 
-/// One evaluated cell: verdict plus wall time (the only non-deterministic
-/// field).
-#[derive(Clone, Debug)]
-pub struct CellResult {
-    /// The cell evaluated.
-    pub cell: Cell,
-    /// Its deterministic verdict.
-    pub verdict: Verdict,
-    /// Wall time of the evaluation (non-deterministic; excluded from
-    /// equivalence comparisons).
-    pub wall: Duration,
-}
-
-/// A full matrix run: per-cell results in cell order plus cache totals.
-#[derive(Clone, Debug)]
-pub struct MatrixReport {
-    /// Results, in the order the cells were given.
-    pub results: Vec<CellResult>,
-    /// Total wall time of the batch.
-    pub total_wall: Duration,
-    /// Subdivision-cache counters accumulated over the sweep.
-    pub subdivision_stats: CacheStats,
-    /// Domain-table-cache counters accumulated over the sweep.
-    pub table_stats: CacheStats,
-    /// Propagation-plan-cache counters accumulated over the sweep.
-    pub plan_stats: CacheStats,
-}
-
-impl MatrixReport {
-    /// Count of results whose verdict kind equals `kind`.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict.kind() == kind)
-            .count()
-    }
-
-    /// Cells evaluated per second of total wall time.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.total_wall.as_secs_f64() == 0.0 {
-            0.0
-        } else {
-            self.results.len() as f64 / self.total_wall.as_secs_f64()
-        }
-    }
-}
-
-/// Evaluates one cell against a (shared) cache. Deterministic for every
-/// thread count: the underlying solver, certificate, and protocol checks
-/// are all order-pinned, and cached subdivisions are structurally
-/// identical to cold ones.
-///
-/// One implementation serves both entry points: this is
-/// [`evaluate_cell_controlled`] under an inert control (which takes the
-/// uncontrolled fast paths throughout and can never interrupt).
-pub fn evaluate_cell(cell: &Cell, cache: &QueryCache) -> Verdict {
-    match evaluate_cell_controlled(cell, cache, &SolveControl::new()).0 {
-        CellOutcome::Decided(v) => v,
-        CellOutcome::Interrupted(_) => unreachable!("an inert control cannot interrupt"),
-    }
-}
-
 /// The Proposition 9.2 path: build the banded terminating subdivision and
 /// the chromatic approximation for `L_t` (memoized in the sweep cache —
 /// several models typically verify the same witness), then verify the
@@ -276,42 +215,11 @@ fn evaluate_lt_certificate(
     })
 }
 
-/// Runs a batch of cells against one shared cache, fanning cells across
-/// the worker pool. Results come back in cell order and are deterministic
-/// for every thread count; only the wall times vary.
-///
-/// Like [`evaluate_cell`], this delegates to the controlled driver with
-/// an inert control — one implementation, two entry points.
-pub fn run_matrix(cells: &[Cell], cache: &QueryCache) -> MatrixReport {
-    let controlled = run_matrix_controlled(cells, cache, &SolveControl::new());
-    MatrixReport {
-        results: controlled
-            .results
-            .into_iter()
-            .map(|r| CellResult {
-                cell: r.cell,
-                verdict: match r.outcome {
-                    CellOutcome::Decided(v) => v,
-                    CellOutcome::Interrupted(_) => {
-                        unreachable!("an inert control cannot interrupt")
-                    }
-                },
-                wall: r.wall,
-            })
-            .collect(),
-        total_wall: controlled.total_wall,
-        subdivision_stats: controlled.subdivision_stats,
-        table_stats: controlled.table_stats,
-        plan_stats: controlled.plan_stats,
-    }
-}
-
 /// The outcome of one cell under a *controlled* sweep: a completed
 /// verdict, or an honest interruption marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CellOutcome {
-    /// The cell ran to completion; the verdict is exactly what
-    /// [`evaluate_cell`] would have produced.
+    /// The cell ran to completion with this verdict.
     Decided(Verdict),
     /// The sweep's [`SolveControl`] tripped before (or while) this cell
     /// was evaluated; no verdict is claimed for it.
@@ -356,8 +264,9 @@ pub struct ControlledCellResult {
     pub wall: Duration,
 }
 
-/// A controlled matrix run: per-cell outcomes in cell order, cache
-/// counter deltas, aggregate solver effort, and the interruption count.
+/// A matrix run: per-cell outcomes in cell order, cache counter deltas
+/// (zero for the per-cell cold reference, which shares no cache),
+/// aggregate solver effort, and the interruption count.
 #[derive(Clone, Debug)]
 pub struct ControlledMatrixReport {
     /// Outcomes, in the order the cells were given.
@@ -389,17 +298,19 @@ impl ControlledMatrixReport {
     }
 }
 
-/// [`evaluate_cell`] under a [`SolveControl`]: the control is checked
-/// before the cell starts, at every `act` round boundary / search-split
-/// point, and between protocol-verification runs, so a tripped control
-/// returns [`CellOutcome::Interrupted`] promptly instead of running the
-/// cell to completion. Also returns the solver effort the cell consumed.
+/// Evaluates one cell against a (shared) cache under a [`SolveControl`],
+/// returning its outcome and the solver effort it consumed.
+/// Deterministic for every thread count: the underlying solver,
+/// certificate, and protocol checks are all order-pinned, and cached
+/// subdivisions are structurally identical to cold ones.
 ///
-/// With an inert control the outcome is always `Decided` and the verdict
-/// is byte-identical to [`evaluate_cell`]'s for every input and thread
-/// count (pinned by the engine equivalence tests). An interrupted cell
-/// never poisons `cache` — only fully built artifacts are stored, so
-/// re-running the cell afterwards yields the full verdict.
+/// The control is checked before the cell starts, at every `act` round
+/// boundary / search-split point, and between protocol-verification
+/// runs, so a tripped control returns [`CellOutcome::Interrupted`]
+/// promptly instead of running the cell to completion; with an inert
+/// control the outcome is always `Decided`. An interrupted cell never
+/// poisons `cache` — only fully built artifacts are stored, so re-running
+/// the cell afterwards yields the full verdict.
 pub fn evaluate_cell_controlled(
     cell: &Cell,
     cache: &QueryCache,
@@ -418,7 +329,7 @@ pub fn evaluate_cell_controlled(
         .task
         .build_task(cache)
         .expect("non-protocol specs build tasks");
-    let outcome = act_solve_controlled(&task, cell.max_depth, Some(cache), control);
+    let outcome = act_solve_controlled(&task, cell.max_depth, cache, control);
     let stats = outcome.stats();
     let verdict = match outcome {
         ActOutcome::Interrupted { reason, .. } => return (CellOutcome::Interrupted(reason), stats),
@@ -500,11 +411,13 @@ fn evaluate_commit_adopt_controlled(
     })
 }
 
-/// [`run_matrix`] under a [`SolveControl`]: fans cells across the worker
-/// pool like [`run_matrix`], checking the control per cell (and inside
-/// each cell's solver rounds). Cells reached after the control trips come
-/// back [`CellOutcome::Interrupted`] in order; completed cells carry
-/// verdicts byte-identical to an uncontrolled run's.
+/// Runs a batch of cells against one shared cache under a
+/// [`SolveControl`], fanning cells across the worker pool and checking the
+/// control per cell (and inside each cell's solver rounds). Results come
+/// back in cell order and are deterministic for every thread count; only
+/// the wall times vary. Cells reached after the control trips come back
+/// [`CellOutcome::Interrupted`]. The report's cache counters are this
+/// sweep's deltas on `cache`.
 pub fn run_matrix_controlled(
     cells: &[Cell],
     cache: &QueryCache,
@@ -518,10 +431,35 @@ pub fn run_matrix_controlled(
     let sub_before = cache.subdivisions().stats();
     let tab_before = cache.table_stats();
     let plan_before = cache.plan_stats();
+    let mut report = sweep(cells, |cell| evaluate_cell_controlled(cell, cache, control));
+    report.subdivision_stats = diff(cache.subdivisions().stats(), sub_before);
+    report.table_stats = diff(cache.table_stats(), tab_before);
+    report.plan_stats = diff(cache.plan_stats(), plan_before);
+    report
+}
+
+/// The per-cell cold reference: every cell is evaluated under an inert
+/// control against its own fresh [`QueryCache`], so nothing is shared
+/// across cells. This is the baseline the cross-query cache is
+/// benchmarked against and the oracle the equivalence tests compare
+/// cached and engine-routed sweeps with; its cache counters are zero.
+pub fn run_matrix_cold(cells: &[Cell]) -> ControlledMatrixReport {
+    sweep(cells, |cell| {
+        evaluate_cell_controlled(cell, &QueryCache::new(), &SolveControl::new())
+    })
+}
+
+/// Fans `cells` across the worker pool through `evaluate` and assembles
+/// the report in cell order: per-cell wall times, summed solver effort,
+/// and the interruption count (cache counters left zero for the caller).
+fn sweep(
+    cells: &[Cell],
+    evaluate: impl Fn(&Cell) -> (CellOutcome, SolveStats) + Sync,
+) -> ControlledMatrixReport {
     let t0 = Instant::now();
     let results = gact_parallel::par_map(cells, |cell| {
         let t = Instant::now();
-        let (outcome, stats) = evaluate_cell_controlled(cell, cache, control);
+        let (outcome, stats) = evaluate(cell);
         (
             ControlledCellResult {
                 cell: cell.clone(),
@@ -549,36 +487,11 @@ pub fn run_matrix_controlled(
     ControlledMatrixReport {
         results,
         total_wall: t0.elapsed(),
-        subdivision_stats: diff(cache.subdivisions().stats(), sub_before),
-        table_stats: diff(cache.table_stats(), tab_before),
-        plan_stats: diff(cache.plan_stats(), plan_before),
-        solver,
-        interrupted,
-    }
-}
-
-/// [`run_matrix`] with a cold start per cell: every cell gets its own
-/// fresh [`QueryCache`], so nothing is shared across cells. This is the
-/// baseline the cross-query cache is benchmarked against (and the oracle
-/// the cache-equivalence tests compare verdicts with).
-pub fn run_matrix_cold(cells: &[Cell]) -> MatrixReport {
-    let t0 = Instant::now();
-    let results = gact_parallel::par_map(cells, |cell| {
-        let t = Instant::now();
-        let cache = QueryCache::new();
-        let verdict = evaluate_cell(cell, &cache);
-        CellResult {
-            cell: cell.clone(),
-            verdict,
-            wall: t.elapsed(),
-        }
-    });
-    MatrixReport {
-        results,
-        total_wall: t0.elapsed(),
         subdivision_stats: CacheStats::default(),
         table_stats: CacheStats::default(),
         plan_stats: CacheStats::default(),
+        solver,
+        interrupted,
     }
 }
 
@@ -595,11 +508,20 @@ mod tests {
         }
     }
 
+    /// The verdict of `cell` under an inert control.
+    fn verdict_of(cell: &Cell, cache: &QueryCache) -> Verdict {
+        let (outcome, _) = evaluate_cell_controlled(cell, cache, &SolveControl::new());
+        outcome
+            .verdict()
+            .cloned()
+            .expect("an inert control decides")
+    }
+
     #[test]
     fn wait_free_verdicts() {
         let cache = QueryCache::new();
         // Solvable control.
-        let v = evaluate_cell(
+        let v = verdict_of(
             &cell(
                 TaskSpec::FullSubdivision { n: 1, depth: 1 },
                 ModelSpec::WaitFree,
@@ -609,7 +531,7 @@ mod tests {
         );
         assert_eq!(v, Verdict::Solvable(SolvableBy::WaitFreeMap { depth: 1 }));
         // Consensus is obstructed at every depth.
-        let v = evaluate_cell(
+        let v = verdict_of(
             &cell(
                 TaskSpec::Consensus { n: 1, n_values: 2 },
                 ModelSpec::WaitFree,
@@ -619,7 +541,7 @@ mod tests {
         );
         assert_eq!(v.kind(), "unsolvable");
         // 2-set agreement for 3 processes: inconclusive at depth 0.
-        let v = evaluate_cell(
+        let v = verdict_of(
             &cell(
                 TaskSpec::SetAgreement {
                     n: 2,
@@ -637,7 +559,7 @@ mod tests {
     #[test]
     fn wait_free_solvability_transfers_to_submodels() {
         let cache = QueryCache::new();
-        let v = evaluate_cell(
+        let v = verdict_of(
             &cell(
                 TaskSpec::FullSubdivision { n: 1, depth: 1 },
                 ModelSpec::TResilient { t: 1 },
@@ -647,7 +569,7 @@ mod tests {
         );
         assert_eq!(v, Verdict::Solvable(SolvableBy::WaitFreeMap { depth: 1 }));
         // But an obstruction is NOT exported to submodels.
-        let v = evaluate_cell(
+        let v = verdict_of(
             &cell(
                 TaskSpec::Consensus { n: 1, n_values: 2 },
                 ModelSpec::TResilient { t: 1 },
@@ -666,7 +588,7 @@ mod tests {
             ModelSpec::TResilient { t: 1 },
             ModelSpec::ObstructionFree { k: 1 },
         ] {
-            let v = evaluate_cell(&cell(TaskSpec::CommitAdopt { n: 2 }, model, 0), &cache);
+            let v = verdict_of(&cell(TaskSpec::CommitAdopt { n: 2 }, model, 0), &cache);
             let Verdict::ProtocolVerified { runs, violations } = v else {
                 panic!("expected protocol verdict, got {v:?}");
             };
@@ -695,7 +617,7 @@ mod tests {
             ),
         ];
         let cache = QueryCache::new();
-        let report = run_matrix(&cells, &cache);
+        let report = run_matrix_controlled(&cells, &cache, &SolveControl::new());
         assert_eq!(report.results.len(), 3);
         for (given, got) in cells.iter().zip(&report.results) {
             assert_eq!(given, &got.cell);

@@ -6,9 +6,12 @@
 use proptest::prelude::*;
 
 use gact::cache::QueryCache;
-use gact::{act_solve, act_solve_with_cache, ActVerdict};
+use gact::control::SolveControl;
+use gact::{act_solve, act_solve_controlled, ActOutcome, ActVerdict};
 use gact_parallel::with_threads;
-use gact_scenarios::{cells_for, run_matrix, run_matrix_cold, Verdict};
+use gact_scenarios::{
+    cells_for, run_matrix_cold, run_matrix_controlled, CellOutcome, ControlledMatrixReport,
+};
 use gact_tasks::Task;
 
 /// Canonical form of an [`ActVerdict`] for equality: variant, depth, and
@@ -51,16 +54,24 @@ fn task_menu() -> Vec<(Task, usize)> {
     ]
 }
 
-/// Per-cell verdicts of a family, cached vs cold, at a given thread count.
-fn family_verdicts(family: &str, threads: usize) -> (Vec<Verdict>, Vec<Verdict>) {
+/// The completed cell outcomes of a sweep, in cell order.
+fn outcomes(report: ControlledMatrixReport) -> Vec<CellOutcome> {
+    assert_eq!(report.interrupted, 0, "an inert control decides every cell");
+    report.results.into_iter().map(|r| r.outcome).collect()
+}
+
+/// A cached sweep of `cells` under an inert control.
+fn cached_sweep(cells: &[gact_scenarios::Cell], cache: &QueryCache) -> ControlledMatrixReport {
+    run_matrix_controlled(cells, cache, &SolveControl::new())
+}
+
+/// Per-cell outcomes of a family, cached vs cold, at a given thread count.
+fn family_verdicts(family: &str, threads: usize) -> (Vec<CellOutcome>, Vec<CellOutcome>) {
     let cells = cells_for(family).expect("registered family");
     with_threads(threads, || {
-        let cached = run_matrix(&cells, &QueryCache::new());
+        let cached = cached_sweep(&cells, &QueryCache::new());
         let cold = run_matrix_cold(&cells);
-        (
-            cached.results.into_iter().map(|r| r.verdict).collect(),
-            cold.results.into_iter().map(|r| r.verdict).collect(),
-        )
+        (outcomes(cached), outcomes(cold))
     })
 }
 
@@ -68,19 +79,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     #[test]
-    fn act_solve_with_cache_is_byte_identical(which in 0usize..5, threads in proptest::sample::select(vec![1usize, 8])) {
+    fn shared_cache_act_solve_is_byte_identical(which in 0usize..5, threads in proptest::sample::select(vec![1usize, 8])) {
         let (task, max_depth) = task_menu().swap_remove(which);
-        // A warm cache (populated by a first query) must answer the same
-        // as a cold one and as the cache-free path.
+        // One shared cache, queried twice (the second time warm), must
+        // answer the same as the one-shot path on its own fresh cache.
         let cache = QueryCache::new();
-        let (cold, warm, free) = with_threads(threads, || {
-            let cold = act_solve_with_cache(&task, max_depth, &cache);
-            let warm = act_solve_with_cache(&task, max_depth, &cache);
-            let free = act_solve(&task, max_depth);
-            (cold, warm, free)
+        let shared = |cache: &QueryCache| {
+            let outcome = act_solve_controlled(&task, max_depth, cache, &SolveControl::new());
+            let ActOutcome::Done { verdict, .. } = outcome else {
+                panic!("an inert control cannot interrupt");
+            };
+            verdict
+        };
+        let (first, warm, fresh) = with_threads(threads, || {
+            let first = shared(&cache);
+            let warm = shared(&cache);
+            let fresh = act_solve(&task, max_depth);
+            (first, warm, fresh)
         });
-        prop_assert_eq!(act_digest(&cold), act_digest(&free));
-        prop_assert_eq!(act_digest(&warm), act_digest(&free));
+        prop_assert_eq!(act_digest(&first), act_digest(&fresh));
+        prop_assert_eq!(act_digest(&warm), act_digest(&fresh));
     }
 
     #[test]
@@ -111,11 +129,9 @@ fn shared_cache_across_repeated_sweeps_is_stable() {
     // still returns identical verdicts.
     let cells = cells_for("wf-affine").expect("registered family");
     let cache = QueryCache::new();
-    let first = run_matrix(&cells, &cache);
-    let second = run_matrix(&cells, &cache);
-    let v1: Vec<_> = first.results.iter().map(|r| &r.verdict).collect();
-    let v2: Vec<_> = second.results.iter().map(|r| &r.verdict).collect();
-    assert_eq!(v1, v2);
+    let first = cached_sweep(&cells, &cache);
+    let second = cached_sweep(&cells, &cache);
     // The second sweep's subdivision traffic is pure hits.
     assert_eq!(second.subdivision_stats.misses, 0);
+    assert_eq!(outcomes(first), outcomes(second));
 }

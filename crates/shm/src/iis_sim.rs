@@ -12,7 +12,8 @@
 //! the paper builds on: every SM interleaving of the simulation corresponds
 //! to a legal IIS run with the same participating processes. (The converse
 //! direction with fast-set preservation, due to Bouzid–Gafni–Kuznetsov
-//! 2014, is replaced by direct generation of IIS runs; see DESIGN.md.)
+//! 2014, is replaced by direct generation of IIS runs — see
+//! `gact_models::enumerate_runs` and `gact_models::RunSampler`.)
 
 use std::collections::BTreeMap;
 
