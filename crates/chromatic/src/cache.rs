@@ -32,7 +32,14 @@
 //! Eviction only ever discards *shared, reconstructible* state — a later
 //! query for an evicted stage rebuilds it (structurally identically) from
 //! the deepest surviving stage — and is surfaced by the `evictions`
-//! counter of [`CacheStats`].
+//! counter of [`CacheStats`]. The stage table is an [`LruMap`].
+//!
+//! ## Concurrency
+//!
+//! No lock is held while a stage is built. Two threads that miss the same
+//! stage at once may both build it; the first insert wins, every caller
+//! gets that one [`Arc`], and each build counts as a miss. At one thread
+//! nothing is ever built twice, so the counters are exact.
 //!
 //! Base complexes are identified by a structural digest
 //! ([`complex_cache_key`]) of facets, colors, and coordinate bits — two
@@ -41,8 +48,9 @@
 //! complexes.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use gact_topology::Geometry;
 
@@ -103,8 +111,8 @@ pub fn complex_cache_key(c: &ChromaticComplex, g: &Geometry) -> ComplexKey {
     ComplexKey(a.0, b.0)
 }
 
-/// Hit/miss/eviction counters of a [`SubdivisionCache`] (and of the
-/// solver-side caches layered on top of it).
+/// Hit/miss/eviction counters of an [`LruMap`] (every bounded cache
+/// layer: subdivision stages, domain tables, propagation plans).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache.
@@ -141,27 +149,141 @@ pub fn env_cache_capacity() -> usize {
     })
 }
 
-/// A cached subdivision stage with its recency stamp.
+/// A capacity-bounded map with least-recently-used eviction and
+/// hit/miss/eviction counters — the one cache primitive behind every
+/// bounded layer of the workspace (this crate's [`SubdivisionCache`]
+/// stages and `gact-core`'s domain-table and propagation-plan layers).
 ///
-/// The eviction machinery here intentionally parallels `gact-core`'s
-/// `LruLayer` rather than sharing it: that layer is a pure
-/// get-or-build map, while this cache's lookups also scan for the
-/// deepest stage *below* the requested round and insert every
-/// intermediate stage of an extension chain — access patterns a shared
-/// abstraction would have to grow special cases for.
+/// Values are cheap handles (typically [`Arc`]s). The mutex is held only
+/// to probe or insert, never while a value is built: two threads that
+/// miss the same key concurrently may both build it, the first insert
+/// wins, and both get the winner back (each build counts as a miss).
+///
+/// # Examples
+///
+/// ```
+/// use gact_chromatic::cache::LruMap;
+///
+/// let map = LruMap::new(1);
+/// assert_eq!(map.get_or_build(&"a", || 1), 1);
+/// assert_eq!(map.get_or_build(&"a", || 2), 1); // hit: not rebuilt
+/// assert_eq!(map.get_or_build(&"b", || 3), 3); // evicts "a"
+/// assert_eq!(map.probe(&"a"), None);
+/// let stats = map.stats();
+/// assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 2, 1));
+/// ```
 #[derive(Debug)]
-struct Entry {
-    value: Arc<ChromaticSubdivision>,
-    stamp: u64,
+pub struct LruMap<K, V> {
+    /// Value and recency stamp per key.
+    entries: Mutex<HashMap<K, (V, u64)>>,
+    capacity: usize,
+    /// Monotone recency clock (bumped on every probe and insert).
+    clock: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
+    /// Creates an empty map holding at most `capacity` entries
+    /// (`usize::MAX` means unbounded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "cache capacity must be at least 1");
+        LruMap {
+            entries: Mutex::new(HashMap::new()),
+            capacity,
+            clock: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, (V, u64)>> {
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The cached value for `key`, refreshing its recency (no counters).
+    pub fn probe(&self, key: &K) -> Option<V> {
+        let mut entries = self.lock();
+        let stamp = self.tick();
+        entries.get_mut(key).map(|(v, s)| {
+            *s = stamp;
+            v.clone()
+        })
+    }
+
+    /// Inserts `value` unless `key` is already cached, and returns the
+    /// value that ends up cached (first insert wins, so racing builders
+    /// share one value). Evicts least-recently-used entries other than
+    /// `key` beyond the capacity bound.
+    pub fn insert(&self, key: K, value: V) -> V {
+        let mut entries = self.lock();
+        let stamp = self.tick();
+        let shared = entries
+            .entry(key.clone())
+            .or_insert((value, stamp))
+            .0
+            .clone();
+        while entries.len() > self.capacity {
+            let victim = entries
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, (_, s))| *s)
+                .map(|(k, _)| k.clone());
+            let Some(victim) = victim else { break };
+            entries.remove(&victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        shared
+    }
+
+    /// The cached value for `key` (a hit), or `build()` inserted with
+    /// [`LruMap::insert`] (a miss). No lock is held while `build` runs.
+    pub fn get_or_build(&self, key: &K, build: impl FnOnce() -> V) -> V {
+        if let Some(hit) = self.probe(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.insert(key.clone(), build())
+    }
+
+    /// The configured capacity (entries; `usize::MAX` means unbounded).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of cached entries.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Hit/miss/eviction counters accumulated so far.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A shared, capacity-bounded cache of iterated chromatic subdivisions,
 /// keyed by `(base-complex digest, round count)`.
 ///
-/// Thread-safe: lookups take a mutex only long enough to probe or insert;
-/// subdivision construction happens outside the lock, so concurrent
-/// builders of the same key race benignly (the results are structurally
-/// identical and the first insert wins).
+/// Thread-safe: no lock is held while a stage is built (see the module
+/// docs on concurrency).
 ///
 /// # Examples
 ///
@@ -177,19 +299,7 @@ struct Entry {
 /// ```
 #[derive(Debug)]
 pub struct SubdivisionCache {
-    entries: Mutex<HashMap<(ComplexKey, usize), Entry>>,
-    /// Per-base in-flight build guards (single-flight): concurrent cold
-    /// misses on the same base complex serialize here and re-probe, so a
-    /// stampede of workers extends the `Chr^m` chain once instead of each
-    /// rebuilding it. Builds for different bases stay concurrent.
-    flights: Mutex<HashMap<ComplexKey, Arc<Mutex<()>>>>,
-    /// Maximum number of cached stages before LRU eviction kicks in.
-    capacity: usize,
-    /// Monotone recency clock (bumped on every probe hit and insert).
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    stages: LruMap<(ComplexKey, usize), Arc<ChromaticSubdivision>>,
 }
 
 impl Default for SubdivisionCache {
@@ -212,21 +322,14 @@ impl SubdivisionCache {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "cache capacity must be at least 1");
         SubdivisionCache {
-            entries: Mutex::new(HashMap::new()),
-            flights: Mutex::new(HashMap::new()),
-            capacity,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            stages: LruMap::new(capacity),
         }
     }
 
     /// The configured capacity (entries; `usize::MAX` means unbounded).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.stages.capacity()
     }
 
     /// `Chr^m` of `(c, g)`, shared: returns the cached subdivision when the
@@ -255,59 +358,20 @@ impl SubdivisionCache {
         g: &Geometry,
         m: usize,
     ) -> Arc<ChromaticSubdivision> {
-        // Fast path: the exact stage is cached.
-        if let Some(hit) = self.probe(key, m) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Single-flight per base: a cold stampede (many workers missing
-        // the same base at once) serializes here and re-probes, so the
-        // extension chain is built once instead of once per worker.
-        let flight = self
-            .flights
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
-            .or_default()
-            .clone();
-        let _building = flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut best: Option<(usize, Arc<ChromaticSubdivision>)> = None;
-        {
-            let mut entries = self
-                .entries
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let stamp = self.tick();
-            if let Some(entry) = entries.get_mut(&(key, m)) {
-                entry.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.value.clone();
+        self.stages.get_or_build(&(key, m), || {
+            // Extend the deepest cached stage strictly below m.
+            let (mut stage, mut current) = (0..m)
+                .rev()
+                .find_map(|j| self.stages.probe(&(key, j)).map(|sd| (j, sd)))
+                .unwrap_or_else(|| (0, Arc::new(chr_identity(c, g))));
+            while stage < m {
+                // Caches every stage below m (the found one is a no-op).
+                current = self.stages.insert((key, stage), current);
+                current = Arc::new(chr_step(&current));
+                stage += 1;
             }
-            // Deepest cached stage strictly below m, to extend from.
-            for j in (0..m).rev() {
-                if let Some(entry) = entries.get_mut(&(key, j)) {
-                    entry.stamp = stamp;
-                    best = Some((j, entry.value.clone()));
-                    break;
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (mut stage, mut current) = match best {
-            Some((j, prev)) => (j, prev),
-            None => {
-                let identity = Arc::new(chr_identity(c, g));
-                (0, self.insert((key, 0), identity))
-            }
-        };
-        while stage < m {
-            let next = chr_step(&current);
-            stage += 1;
-            current = self.insert((key, stage), Arc::new(next));
-        }
-        current
+            current
+        })
     }
 
     /// The carrier lineage of stage `m` relative to stage `m − 1`: for
@@ -323,7 +387,7 @@ impl SubdivisionCache {
         if m == 0 {
             return None;
         }
-        let sd = self.probe(key, m)?;
+        let sd = self.stages.probe(&(key, m))?;
         Some(Arc::new(
             sd.key_index
                 .iter()
@@ -332,62 +396,9 @@ impl SubdivisionCache {
         ))
     }
 
-    /// Next recency stamp.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Lock-scoped exact-stage lookup (no counters; refreshes recency).
-    fn probe(&self, key: ComplexKey, m: usize) -> Option<Arc<ChromaticSubdivision>> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stamp = self.tick();
-        entries.get_mut(&(key, m)).map(|e| {
-            e.stamp = stamp;
-            e.value.clone()
-        })
-    }
-
-    /// Inserts unless a racing builder got there first; returns the entry
-    /// that ends up cached (first insert wins, so every caller shares one
-    /// allocation per key). Evicts least-recently-used entries beyond the
-    /// capacity bound.
-    fn insert(
-        &self,
-        key: (ComplexKey, usize),
-        value: Arc<ChromaticSubdivision>,
-    ) -> Arc<ChromaticSubdivision> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stamp = self.tick();
-        let shared = entries
-            .entry(key)
-            .or_insert(Entry { value, stamp })
-            .value
-            .clone();
-        while entries.len() > self.capacity {
-            let victim = entries
-                .iter()
-                .filter(|(&k, _)| k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { break };
-            entries.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shared
-    }
-
     /// Number of cached `(complex, round)` entries.
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        self.stages.len()
     }
 
     /// Whether the cache holds no entries.
@@ -397,11 +408,7 @@ impl SubdivisionCache {
 
     /// Hit/miss/eviction counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.stages.stats()
     }
 }
 

@@ -217,7 +217,8 @@ impl ActOutcome {
 /// [`crate::solver::DomainTables`] *and* its
 /// [`crate::solver::PropagationPlan`] come from (and populate) `cache`,
 /// so a sweep over tasks on the same input complex, or over depth
-/// bounds, builds every subdivision stage at most once; the cache extends
+/// bounds, builds every subdivision stage once (concurrent cold misses
+/// may build one twice; see [`crate::cache`]); the cache extends
 /// `Chr^{m+1}` from its cached `Chr^m` instead of rebuilding per depth.
 /// One [`CompiledTask`] spans every depth, so the interned `Δ`-image
 /// tables and the class-level dead values the propagate layer learns at

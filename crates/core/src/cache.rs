@@ -21,12 +21,22 @@
 //!   [`crate::solver::propagate`]), so the class grouping of a domain is
 //!   computed once per `(complex, round)` for the whole sweep.
 //!
-//! All three layers are capacity-bounded with least-recently-used
+//! All three layers are [`LruMap`]s, bounded with least-recently-used
 //! eviction — construct with [`QueryCache::with_capacity`] or set
-//! `GACT_CACHE_CAP` (entries per layer; unset means unbounded) — and
+//! `GACT_CACHE_CAP` (entries per layer; unset means unbounded) — that
 //! surface hit/miss/eviction counters ([`QueryCache::table_stats`],
 //! [`QueryCache::plan_stats`], [`SubdivisionCache::stats`]) that the
 //! `scenarios --json` report exports.
+//!
+//! ## Concurrency
+//!
+//! Only the Proposition 9.2 witness slot ([`QueryCache::lt_showcase`]) is
+//! held across a build: its per-key [`OnceLock`] builds each witness at
+//! most once, and a concurrent caller blocks until it is ready. The three
+//! bounded layers hold no lock while they build, so when more than one
+//! thread runs, two cold misses on one key may both build it; the first
+//! insert wins and each extra build counts as a miss. At one thread the
+//! counters are unchanged.
 //!
 //! [`crate::act::act_solve_controlled`] is the cache-aware solvability
 //! entry point; its verdicts against a shared warm cache are
@@ -35,10 +45,9 @@
 //! the cache regression tests).
 
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use gact_chromatic::cache::LruMap;
 use gact_chromatic::{
     complex_cache_key, env_cache_capacity, CacheStats, ChromaticComplex, ChromaticSubdivision,
     ComplexKey, SubdivisionCache,
@@ -48,123 +57,12 @@ use gact_topology::Geometry;
 use crate::lt::{build_lt_showcase, LtShowcase};
 use crate::solver::{prepare_domain, prepare_plan, DomainTables, PropagationPlan};
 
-/// Per-key in-flight build guards (single-flight): concurrent cold misses
-/// on the same key serialize on one per-key mutex and re-probe after
-/// acquiring it, so an expensive build happens once instead of once per
-/// worker. Builds for *different* keys stay concurrent.
-#[derive(Debug)]
-struct Flights<K>(Mutex<HashMap<K, Arc<Mutex<()>>>>);
-
-// Manual impl: the derive would needlessly require `K: Default`.
-impl<K> Default for Flights<K> {
-    fn default() -> Self {
-        Flights(Mutex::new(HashMap::new()))
-    }
-}
-
-impl<K: Eq + Hash + Clone> Flights<K> {
-    fn guard(&self, key: &K) -> Arc<Mutex<()>> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key.clone())
-            .or_default()
-            .clone()
-    }
-}
-
-/// A capacity-bounded, recency-evicting map layer with hit/miss/eviction
-/// counters — the shape every solver-side cache half shares.
-#[derive(Debug)]
-struct LruLayer<K, V> {
-    entries: Mutex<HashMap<K, (V, u64)>>,
-    flights: Flights<K>,
-    capacity: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> LruLayer<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruLayer {
-            entries: Mutex::new(HashMap::new()),
-            flights: Flights::default(),
-            capacity,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn probe(&self, key: &K) -> Option<V> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        entries.get_mut(key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    /// Cached value for `key`, building with single-flight on a miss.
-    fn get_or_build(&self, key: &K, build: impl FnOnce() -> V) -> V {
-        if let Some(hit) = self.probe(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Single-flight: serialize builders of this key, then re-probe —
-        // a cold stampede builds the value once instead of per worker.
-        let flight = self.flights.guard(key);
-        let _building = flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = self.probe(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = build();
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let shared = entries
-            .entry(key.clone())
-            .or_insert((built, stamp))
-            .0
-            .clone();
-        while entries.len() > self.capacity {
-            let victim = entries
-                .iter()
-                .filter(|(k, _)| *k != key)
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            entries.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shared
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Memo key of a Proposition 9.2 witness: `(n, t, extra_stages)`.
 type ShowcaseKey = (usize, usize, usize);
 /// Memoized witness (or its deterministic construction error).
 type ShowcaseResult = Result<Arc<LtShowcase>, String>;
+/// A witness slot, filled at most once.
+type ShowcaseSlot = Arc<OnceLock<ShowcaseResult>>;
 
 /// A shared cache handle threaded through solvability queries in a sweep.
 ///
@@ -193,14 +91,13 @@ type ShowcaseResult = Result<Arc<LtShowcase>, String>;
 #[derive(Debug)]
 pub struct QueryCache {
     subdivisions: SubdivisionCache,
-    tables: LruLayer<(ComplexKey, usize), Arc<DomainTables>>,
-    plans: LruLayer<(ComplexKey, usize), Arc<PropagationPlan>>,
+    tables: LruMap<(ComplexKey, usize), Arc<DomainTables>>,
+    plans: LruMap<(ComplexKey, usize), Arc<PropagationPlan>>,
     /// Memoized Proposition 9.2 witnesses keyed by `(n, t, extra_stages)`
     /// — the single most expensive construction a sweep runs, shared by
     /// every certificate cell that needs the same witness. (Unbounded:
     /// the witness grid the scenarios exercise is tiny.)
-    showcases: Mutex<HashMap<ShowcaseKey, ShowcaseResult>>,
-    showcase_flights: Flights<ShowcaseKey>,
+    showcases: Mutex<HashMap<ShowcaseKey, ShowcaseSlot>>,
 }
 
 impl Default for QueryCache {
@@ -227,10 +124,9 @@ impl QueryCache {
     pub fn with_capacity(capacity: usize) -> Self {
         QueryCache {
             subdivisions: SubdivisionCache::with_capacity(capacity),
-            tables: LruLayer::new(capacity),
-            plans: LruLayer::new(capacity),
+            tables: LruMap::new(capacity),
+            plans: LruMap::new(capacity),
             showcases: Mutex::new(HashMap::new()),
-            showcase_flights: Flights::default(),
         }
     }
 
@@ -269,8 +165,8 @@ impl QueryCache {
     }
 
     /// The task-independent [`DomainTables`] of `Chr^m` of the keyed base
-    /// complex, computed at most once per `(key, m)` and shared by every
-    /// task queried against that domain.
+    /// complex, cached per `(key, m)` and shared by every task queried
+    /// against that domain.
     pub fn domain_tables(
         &self,
         key: ComplexKey,
@@ -284,8 +180,8 @@ impl QueryCache {
 
     /// The task-independent [`PropagationPlan`] of `Chr^m` of the keyed
     /// base complex — the propagate layer's constraint-class schedule —
-    /// computed at most once per `(key, m)` alongside the domain tables
-    /// and shared by every task queried against that domain.
+    /// cached per `(key, m)` alongside the domain tables and shared by
+    /// every task queried against that domain.
     pub fn propagation_plan(
         &self,
         key: ComplexKey,
@@ -308,30 +204,14 @@ impl QueryCache {
     /// Propagates (and memoizes) [`build_lt_showcase`]'s error, which is
     /// deterministic for given parameters.
     pub fn lt_showcase(&self, n: usize, t: usize, extra_stages: usize) -> ShowcaseResult {
-        let key = (n, t, extra_stages);
-        let probe = || {
-            self.showcases
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .get(&key)
-                .cloned()
-        };
-        if let Some(hit) = probe() {
-            return hit;
-        }
-        let flight = self.showcase_flights.guard(&key);
-        let _building = flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = probe() {
-            return hit;
-        }
-        let built = build_lt_showcase(n, t, extra_stages).map(Arc::new);
-        self.showcases
+        let slot = self
+            .showcases
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
-            .or_insert(built)
+            .entry((n, t, extra_stages))
+            .or_default()
+            .clone();
+        slot.get_or_init(|| build_lt_showcase(n, t, extra_stages).map(Arc::new))
             .clone()
     }
 
@@ -350,7 +230,8 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gact_chromatic::standard_simplex;
+    use gact_chromatic::{chr_iter, standard_simplex};
+    use std::sync::Barrier;
 
     #[test]
     fn domain_tables_are_shared_per_key() {
@@ -401,5 +282,37 @@ mod tests {
         let sd = cache.subdivision_keyed(key, &s, &g, 0);
         let t = cache.domain_tables(key, 0, &sd);
         assert_eq!(t.vertex_count(), 2);
+    }
+
+    #[test]
+    fn racing_builders_share_one_value_per_key() {
+        // Two threads ask for the same cold keys at once. The witness slot
+        // makes the second caller wait for the first build; the bounded
+        // layers may build twice, but the first insert wins.
+        let (s, g) = standard_simplex(2);
+        let cache = QueryCache::with_capacity(16);
+        let key = cache.key_of(&s, &g);
+        let barrier = Barrier::new(2);
+        let ask = || {
+            barrier.wait();
+            let witness = cache.lt_showcase(1, 1, 0).expect("witness");
+            let sd = cache.subdivision_keyed(key, &s, &g, 2);
+            let tables = cache.domain_tables(key, 2, &sd);
+            let plan = cache.propagation_plan(key, 2, &tables, &sd);
+            (witness, sd, tables, plan)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(ask);
+            let b = scope.spawn(ask);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(Arc::ptr_eq(&a.1, &b.1));
+        assert!(Arc::ptr_eq(&a.2, &b.2));
+        assert!(Arc::ptr_eq(&a.3, &b.3));
+        let cold = chr_iter(&s, &g, 2);
+        assert_eq!(a.1.complex.complex(), cold.complex.complex());
+        assert_eq!(a.1.vertex_carrier, cold.vertex_carrier);
+        assert_eq!(a.1.key_index, cold.key_index);
     }
 }

@@ -12,7 +12,9 @@
 //!   (iterated subdivisions, solver domain tables, propagation plans,
 //!   and the Proposition 9.2 certificate memo) behind one handle, shared
 //!   by every request; concurrent submission fans out over the
-//!   `gact-parallel` pool with the caches' single-flight guards;
+//!   `gact-parallel` pool, and only the certificate memo is held across
+//!   a build (the other layers may build a value twice at more than one
+//!   thread; the first insert wins and each build counts as a miss);
 //! * **typed requests** — [`SolveRequest`], [`MatrixRequest`],
 //!   [`VerifyRequest`] builders validate *at construction*: a request
 //!   that builds cannot make the engine panic;
