@@ -4,13 +4,12 @@
 //!
 //! Run with: `cargo run --release -p gact-bench --bin experiments`
 //!
-//! With `-- --json [path]` it instead re-times the benchmark workloads
-//! (same ids as the criterion benches) using plain `std::time` and writes
-//! a machine-readable JSON document — `BENCH_results.json` by default — so
+//! With `-- --json [path] [--force]` it instead times every workload of
+//! the bench registry (`gact_bench::registry`) and writes a
+//! machine-readable JSON document — `BENCH_results.json` by default — so
 //! successive PRs have a performance trajectory to compare against.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use gact::{
@@ -27,7 +26,7 @@ use gact_models::{
     SubIisModel, TResilient, WaitFree,
 };
 use gact_shm::{run_is, simulate_iis, RandomScheduler};
-use gact_tasks::affine::{full_subdivision_task, lt_task, lt_task_in, total_order_task};
+use gact_tasks::affine::{full_subdivision_task, lt_task, total_order_task};
 use gact_tasks::classic::consensus_task;
 use gact_tasks::commit_adopt::{check_commit_adopt, CaOutput, CommitAdopt};
 use gact_topology::{Simplex, VertexId};
@@ -40,209 +39,17 @@ fn row(name: &str, paper: &str, measured: &str) {
     println!("  {name:<46} paper: {paper:<22} measured: {measured}");
 }
 
-/// Re-times the criterion benchmark workloads with `std::time` and writes
-/// the machine-readable `BENCH_results.json` for cross-PR perf tracking.
+/// Times the whole bench registry and writes the machine-readable
+/// `BENCH_results.json` for cross-PR perf tracking.
 ///
 /// Refuses to overwrite an existing results file with *fewer* bench ids
 /// than it already records (a partial or truncated run silently replacing
 /// the committed trajectory would corrupt every cross-PR comparison);
 /// `--force` overrides.
 fn run_json_benches(path: &str, force: bool) {
-    use gact::{solve, MapProblem, SolveOutcome};
-    use gact_bench::{count_bench_ids, measure, to_json, BenchRecord};
+    use gact_bench::{count_bench_ids, registry, to_json, BenchRecord};
 
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let mut push = |r: BenchRecord| {
-        println!("  {:<44} median {}", r.id, r.pretty_median());
-        records.push(r);
-    };
-    // The solver benches attach their search effort so nodes/backtracks/
-    // prunes regressions show up in the JSON trajectory alongside the
-    // wall times. The counter-gathering runs are pinned to one thread
-    // (the parallel subtree split's counters vary with cancellation
-    // timing), so the recorded counters are deterministic on any machine.
-
-    println!("timing chr_growth …");
-    for n in 1..=3usize {
-        for m in 1..=2usize {
-            let (s, g) = standard_simplex(n);
-            push(measure(format!("chr_growth/n{n}/{m}"), 10, || {
-                chr_iter(&s, &g, m)
-            }));
-        }
-    }
-    {
-        let (s, g) = standard_simplex(2);
-        push(measure("chr_growth/n2_m3", 10, || chr_iter(&s, &g, 3)));
-    }
-
-    println!("timing tasks …");
-    {
-        // One affine-task build over a cached ambient, as a warm engine
-        // serves it: `L_1(n=3)` selected from a shared `Chr² s`, every
-        // `Δ(t)` derived from the selection's facets.
-        let (s, g) = standard_simplex(3);
-        let ambient = Arc::new(chr_iter(&s, &g, 2));
-        push(measure("tasks/lt_task_n3_t1", 10, || {
-            lt_task_in(3, 1, Arc::clone(&ambient))
-        }));
-    }
-
-    println!("timing act_solver …");
-    for (n, depth) in [(1usize, 1usize), (1, 2), (2, 1)] {
-        let at = full_subdivision_task(n, depth);
-        let stats = gact_parallel::with_threads(1, || match act_solve(&at.task, depth) {
-            ActVerdict::Solvable { stats, .. } => stats,
-            v => panic!("control task must be solvable, got {v:?}"),
-        });
-        push(
-            measure(format!("act_solver/solvable/n{n}_k{depth}"), 10, || {
-                assert!(act_solve(&at.task, depth).is_solvable())
-            })
-            .with_solver(stats),
-        );
-    }
-    for k in 0..=2usize {
-        let task = consensus_task(1, &[0, 1]);
-        let sd = chr_iter(&task.input, &task.input_geometry, k);
-        let problem = MapProblem {
-            domain: &sd.complex,
-            vertex_carrier: &sd.vertex_carrier,
-            task: &task,
-        };
-        let stats = gact_parallel::with_threads(1, || solve(&problem, None).stats());
-        push(
-            measure(format!("act_solver/consensus_unsat/{k}"), 10, || {
-                let problem = MapProblem {
-                    domain: &sd.complex,
-                    vertex_carrier: &sd.vertex_carrier,
-                    task: &task,
-                };
-                assert!(!matches!(solve(&problem, None), SolveOutcome::Map(..)));
-            })
-            .with_solver(stats),
-        );
-    }
-    {
-        // The incremental rounds engine on a multi-depth refutation: L_1
-        // is not wait-free solvable at any depth (Δ(corner) = ∅ empties a
-        // domain), so `act_solve(…, 2)` walks one `chr_step` chain across
-        // depths 0..=2 with one shared `CompiledTask`, each depth refuted
-        // by propagation without search.
-        let at = lt_task(2, 1);
-        assert!(matches!(act_solve(&at.task, 2), ActVerdict::NoMapUpTo(2)));
-        push(measure("act_solver/rounds_unsat_sweep", 10, || {
-            assert!(!act_solve(&at.task, 2).is_solvable());
-        }));
-    }
-    {
-        let task = consensus_task(2, &[0, 1]);
-        push(measure("act_solver/consensus_obstruction_n2", 10, || {
-            assert!(connectivity_obstruction(&task).is_some());
-        }));
-    }
-
-    println!("timing runs_and_projection …");
-    {
-        let runs = enumerate_runs(3, 0);
-        push(measure("runs/fast_enumerated/3", 20, || {
-            runs.iter().map(|r| r.fast().len()).sum::<usize>()
-        }));
-        let mut sampler = RunSampler::new(4, 17, SamplerConfig::default());
-        let sampled: Vec<Run> = (0..50).map(|_| sampler.sample()).collect();
-        push(measure("runs/affine_projection_sampled", 20, || {
-            sampled.iter().map(|r| affine_projection(r)[0]).sum::<f64>()
-        }));
-    }
-
-    println!("timing shm …");
-    {
-        let invocations: Vec<(ProcessId, u32)> =
-            (0..6u8).map(|i| (ProcessId(i), i as u32)).collect();
-        push(measure("shm/is_round_robin/6", 20, || {
-            let mut sched = gact_shm::RoundRobin::default();
-            run_is(&invocations, &mut sched, 6, 1_000_000)
-        }));
-        push(measure("shm/iis_over_shm_3procs/4", 20, || {
-            let mut sched = RandomScheduler::seeded(7);
-            simulate_iis(3, ProcessSet::full(3), 4, &mut sched, 10_000_000)
-        }));
-    }
-
-    println!("timing scenario_matrix …");
-    {
-        use gact::cache::QueryCache;
-        use gact::control::SolveControl;
-        use gact_engine::{Engine, MatrixRequest};
-        use gact_scenarios::{cells_for, run_matrix_cold, run_matrix_controlled};
-        let cells = cells_for("rounds-sweep").expect("registered family");
-        let direct = measure("scenario_matrix/rounds_sweep_cached", 10, || {
-            // Fresh cache per sweep: intra-sweep sharing only.
-            let cache = QueryCache::new();
-            run_matrix_controlled(&cells, &cache, &SolveControl::new())
-        });
-        let direct_median = direct.median_ns;
-        push(direct);
-        push(measure("scenario_matrix/rounds_sweep_cold", 10, || {
-            run_matrix_cold(&cells)
-        }));
-        // The facade overhead gate: the same cached rounds sweep routed
-        // through a fresh Engine session per iteration (request
-        // validation + thread scoping + stats accounting on top of the
-        // identical driver, cache and solver work). The facade must stay
-        // within 5% of the direct path (plus a 2ms absolute guard against
-        // container timer noise on a sub-50ms workload).
-        let request = MatrixRequest::family("rounds-sweep").expect("registered family");
-        let routed = measure("scenario_matrix/engine_overhead", 10, || {
-            let engine = Engine::new();
-            engine.matrix(&request).expect("ungoverned sweep completes")
-        });
-        let budget_ns = direct_median * 1.05 + 2e6;
-        assert!(
-            routed.median_ns <= budget_ns,
-            "engine facade overhead too high: {:.2}ms routed vs {:.2}ms direct (allowed {:.2}ms)",
-            routed.median_ns / 1e6,
-            direct_median / 1e6,
-            budget_ns / 1e6
-        );
-        println!(
-            "  engine facade overhead: {:+.1}% over direct run_matrix_controlled (gate: ≤5% + 2ms)",
-            100.0 * (routed.median_ns - direct_median) / direct_median
-        );
-        push(routed);
-    }
-
-    println!("timing lt_pipeline …");
-    {
-        let stats =
-            gact_parallel::with_threads(1, || build_lt_showcase(2, 1, 2).expect("witness").stats);
-        push(
-            measure("lt_pipeline/build_showcase_2_stages", 3, || {
-                build_lt_showcase(2, 1, 2).expect("witness")
-            })
-            .with_solver(stats),
-        );
-    }
-    {
-        let show = build_lt_showcase(2, 1, 2).expect("witness");
-        let mut sampler = RunSampler::new(
-            3,
-            11,
-            SamplerConfig {
-                max_prefix: 1,
-                max_cycle: 2,
-            },
-        );
-        let fast: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-        let runs: Vec<Run> = (0..20)
-            .map(|_| sampler.sample_with_fast(fast, ProcessSet::empty()))
-            .collect();
-        push(measure("lt_pipeline/verify_20_runs", 5, || {
-            let reports = verify_protocol_on_runs(&show.certificate, &show.affine.task, &runs, 12);
-            assert!(reports.iter().all(|r| r.violations.is_empty()));
-        }));
-    }
-
+    let records: Vec<BenchRecord> = registry().iter().map(|w| w.run()).collect();
     if !force {
         if let Ok(existing) = std::fs::read_to_string(path) {
             let existing_ids = count_bench_ids(&existing);

@@ -2,17 +2,22 @@
 //!
 //! Benchmark harness for the GACT reproduction. Content:
 //!
-//! * `benches/` — criterion benchmarks (`chr_growth`, `act_solver`,
-//!   `runs_and_projection`, `shm_is`, `lt_pipeline`, `scenario_matrix`),
-//!   one per experiment family of the README's "Experiments" section;
+//! * [`registry()`] — every timed workload, written once: an id plus a body
+//!   that sets up, asserts and times itself through [`measure`]. Both
+//!   harnesses iterate it;
+//! * `benches/registry.rs` — `cargo bench -p gact-bench [-- <id-prefix>…]`
+//!   prints one median line per registered id, keeping only the ids that
+//!   start with one of the given prefixes;
 //! * `src/bin/experiments.rs` — the one-shot harness printing every
-//!   paper-vs-measured row, plus the `--json` mode that re-times the
-//!   benchmark workloads with `std::time` and writes a machine-readable
-//!   `BENCH_results.json` for cross-PR perf tracking (schema in
-//!   `docs/benchmarks.md`);
-//! * this library — the tiny wall-time measurement and JSON plumbing the
-//!   `--json` mode uses (serialized by hand: the build environment has no
-//!   serde).
+//!   paper-vs-measured row, plus the `--json` mode that runs the whole
+//!   registry and writes a machine-readable `BENCH_results.json` for
+//!   cross-PR perf tracking (schema in `docs/benchmarks.md`);
+//! * this library — the wall-time measurement and JSON plumbing
+//!   (serialized by hand: the build environment has no serde).
+
+pub mod registry;
+
+pub use registry::{registry, select, Workload};
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -23,7 +28,7 @@ use gact_scenarios::solve_stats_json;
 /// One timed benchmark: median/min/mean nanoseconds per iteration.
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Benchmark id, `group/name` (matching the criterion benches).
+    /// Benchmark id, `group/name`, as registered in [`registry()`].
     pub id: String,
     /// Median wall time per iteration, in nanoseconds.
     pub median_ns: f64,
@@ -41,7 +46,7 @@ pub struct BenchRecord {
 
 impl BenchRecord {
     /// Attaches solver search-effort counters to this record (builder
-    /// style, used by the `experiments --json` solver benches).
+    /// style, used by the registry's solver workloads).
     pub fn with_solver(mut self, effort: SolveStats) -> Self {
         self.solver = Some(effort);
         self
@@ -108,13 +113,20 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Counts the bench ids recorded in a `BENCH_results.json` document (the
-/// schema this workspace writes: one `"id": "…"` key per bench entry).
+/// The bench ids recorded in a `BENCH_results.json` document (the schema
+/// this workspace writes: one `"id": "…"` key per bench entry), in order.
+fn bench_ids(json: &str) -> impl Iterator<Item = &str> {
+    json.split("\"id\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+}
+
+/// Counts the bench ids recorded in a `BENCH_results.json` document.
 /// Used by `experiments --json` to refuse overwriting a fuller results
 /// file with a partial run. Unparseable content counts as zero ids, so a
 /// corrupt file never blocks a fresh write.
 pub fn count_bench_ids(json: &str) -> usize {
-    json.matches("\"id\": \"").count()
+    bench_ids(json).count()
 }
 
 /// Serializes records as the `BENCH_results.json` document (schema 1).
@@ -147,6 +159,8 @@ pub fn to_json(records: &[BenchRecord]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -179,6 +193,39 @@ mod tests {
         // Exactly one comma between the two entries, none after the last.
         assert_eq!(json.matches("},\n").count(), 1);
         assert!(!json.contains("}\n  ]\n},"));
+    }
+
+    /// A registry edit without a regenerated trajectory fails here:
+    /// regenerate `BENCH_results.json` with `experiments --json`.
+    #[test]
+    fn registry_ids_are_unique_and_match_committed_results() {
+        let ids: Vec<String> = registry().into_iter().map(|w| w.id).collect();
+        let unique: BTreeSet<&str> = ids.iter().map(String::as_str).collect();
+        assert_eq!(unique.len(), ids.len(), "duplicate registry id in {ids:?}");
+        let committed: BTreeSet<&str> =
+            bench_ids(include_str!("../../../BENCH_results.json")).collect();
+        assert_eq!(
+            unique, committed,
+            "registry ids differ from BENCH_results.json"
+        );
+    }
+
+    #[test]
+    fn select_keeps_ids_by_prefix() {
+        let ids = |prefixes: &[&str]| -> Vec<String> {
+            select(prefixes).into_iter().map(|w| w.id).collect()
+        };
+        assert_eq!(ids(&[]).len(), registry().len());
+        let groups = ids(&["chr_growth", "act_solver"]);
+        assert_eq!(groups.len(), 7 + 8);
+        assert!(groups
+            .iter()
+            .all(|id| id.starts_with("chr_growth/") || id.starts_with("act_solver/")));
+        assert_eq!(
+            ids(&["act_solver/consensus_obstruction_n2", "shm/is_random/3"]),
+            ["act_solver/consensus_obstruction_n2", "shm/is_random/3"]
+        );
+        assert!(ids(&["no_such_group"]).is_empty());
     }
 
     #[test]

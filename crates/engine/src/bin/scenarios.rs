@@ -67,7 +67,6 @@ fn main() {
                 threads = Some(
                     args.get(i)
                         .and_then(|a| a.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage()),
                 );
             }
@@ -141,8 +140,9 @@ fn main() {
         std::process::exit(2);
     }
 
-    // One request for both paths: the family, the filter and the budget
-    // are validated before anything runs.
+    // One request and one thread count for both paths: the family, the
+    // filter, the budget and the worker count are validated before
+    // anything runs.
     let mut request = MatrixRequest::family(&family).unwrap_or_else(|e| fail(e));
     if let Some(f) = &filter {
         request = request.filtered(f).unwrap_or_else(|e| fail(e));
@@ -155,6 +155,10 @@ fn main() {
         budget = budget.with_max_nodes(n);
     }
     request = request.with_budget(budget).unwrap_or_else(|e| fail(e));
+    let mut builder = Engine::builder();
+    if let Some(n) = threads {
+        builder = builder.threads(n).unwrap_or_else(|e| fail(e));
+    }
 
     println!(
         "scenario matrix `{family}`: {} cells ({}{}{})",
@@ -181,10 +185,6 @@ fn main() {
         };
         (report, None)
     } else {
-        let mut builder = Engine::builder();
-        if let Some(n) = threads {
-            builder = builder.threads(n).unwrap_or_else(|e| fail(e));
-        }
         let engine = builder.build();
         let reply = engine.matrix(&request).unwrap_or_else(|e| fail(e));
         (reply.report, Some(engine.stats()))

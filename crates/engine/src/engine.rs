@@ -46,12 +46,17 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidSpec`] for zero workers.
+    /// [`EngineError::InvalidSpec`] for zero workers or more than
+    /// [`gact_parallel::MAX_THREADS`] (each worker is an OS thread kept
+    /// for the process lifetime).
     pub fn threads(mut self, n: usize) -> Result<Self, EngineError> {
-        if n == 0 {
+        if !(1..=gact_parallel::MAX_THREADS).contains(&n) {
             return Err(EngineError::invalid(
                 "threads",
-                "the worker pool needs at least one thread",
+                format!(
+                    "the worker pool takes 1 to {} threads, got {n}",
+                    gact_parallel::MAX_THREADS
+                ),
             ));
         }
         self.threads = Some(n);
@@ -318,12 +323,12 @@ impl Engine {
     /// [`EngineError::Cancelled`] when the request's token is already
     /// cancelled at submission.
     pub fn solve(&self, request: &SolveRequest) -> Result<SolveReply, EngineError> {
-        if let Some(token) = &request.governance.cancel {
+        let control = &request.control;
+        if let Some(token) = &control.token {
             if token.is_cancelled() {
                 return Err(EngineError::Cancelled);
             }
         }
-        let control = request.governance.control();
         let t0 = Instant::now();
         // Governance checkpoint *before* task construction: building the
         // ambient `Chr^depth` complex can dominate a request's cost, and
@@ -346,7 +351,7 @@ impl Engine {
             .build_task(&self.cache)
             .expect("validated non-protocol specs build tasks");
         let outcome =
-            self.scoped(|| act_solve_controlled(&task, request.max_depth(), &self.cache, &control));
+            self.scoped(|| act_solve_controlled(&task, request.max_depth(), &self.cache, control));
         let stats = outcome.stats();
         self.counters.solves.fetch_add(1, Ordering::Relaxed);
         self.counters.add_solver(stats);
@@ -397,14 +402,14 @@ impl Engine {
     /// [`EngineError::Cancelled`] when the request's token is already
     /// cancelled at submission.
     pub fn matrix(&self, request: &MatrixRequest) -> Result<MatrixReply, EngineError> {
-        if let Some(token) = &request.governance.cancel {
+        let control = &request.control;
+        if let Some(token) = &control.token {
             if token.is_cancelled() {
                 return Err(EngineError::Cancelled);
             }
         }
-        let control = request.governance.control();
         let t0 = Instant::now();
-        let report = self.scoped(|| run_matrix_controlled(request.cells(), &self.cache, &control));
+        let report = self.scoped(|| run_matrix_controlled(request.cells(), &self.cache, control));
         self.counters.matrices.fetch_add(1, Ordering::Relaxed);
         self.counters
             .cells
@@ -437,7 +442,7 @@ impl Engine {
     /// * [`EngineError::Internal`] — the certificate construction
     ///   rejected its parameters (deterministic).
     pub fn verify(&self, request: &VerifyRequest) -> Result<VerifyReply, EngineError> {
-        let control = request.governance.control();
+        let control = &request.control;
         let t0 = Instant::now();
         control.check(0).map_err(EngineError::from_interrupt)?;
         let show = self
@@ -543,6 +548,17 @@ mod tests {
         let json = stats.to_json_object();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"subdivision_cache\""));
+    }
+
+    #[test]
+    fn thread_counts_above_the_cap_are_rejected() {
+        // Validation only: no engine is built, so no pool is started.
+        for n in [gact_parallel::MAX_THREADS + 1, usize::MAX] {
+            match Engine::builder().threads(n) {
+                Err(EngineError::InvalidSpec { field, .. }) => assert_eq!(field, "threads"),
+                other => panic!("threads({n}) must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

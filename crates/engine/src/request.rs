@@ -21,23 +21,6 @@ use crate::error::EngineError;
 /// [`EngineError::BudgetExceeded`].
 pub const MAX_REQUEST_DEPTH: usize = 12;
 
-/// Shared governance carried by every request kind.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Governance {
-    pub(crate) budget: Budget,
-    pub(crate) cancel: Option<CancelToken>,
-}
-
-impl Governance {
-    pub(crate) fn control(&self) -> SolveControl {
-        let mut control = SolveControl::new().with_budget(self.budget);
-        if let Some(token) = &self.cancel {
-            control = control.with_token(token.clone());
-        }
-        control
-    }
-}
-
 /// Validates a budget's statically checkable fields.
 fn check_budget(budget: &Budget) -> Result<(), EngineError> {
     if budget.max_nodes == Some(0) {
@@ -99,7 +82,7 @@ fn check_task_depth(task: &TaskSpec) -> Result<(), EngineError> {
 pub struct SolveRequest {
     task: TaskSpec,
     max_depth: usize,
-    pub(crate) governance: Governance,
+    pub(crate) control: SolveControl,
 }
 
 impl SolveRequest {
@@ -125,7 +108,7 @@ impl SolveRequest {
         Ok(SolveRequest {
             task,
             max_depth,
-            governance: Governance::default(),
+            control: SolveControl::new(),
         })
     }
 
@@ -137,14 +120,14 @@ impl SolveRequest {
     /// (currently: `max_nodes = 0`).
     pub fn with_budget(mut self, budget: Budget) -> Result<Self, EngineError> {
         check_budget(&budget)?;
-        self.governance.budget = budget;
+        self.control.budget = budget;
         Ok(self)
     }
 
     /// Attaches a cancellation token (checked at round boundaries and
     /// search-split points).
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.governance.cancel = Some(token);
+        self.control.token = Some(token);
         self
     }
 
@@ -178,7 +161,7 @@ impl SolveRequest {
 pub struct MatrixRequest {
     label: String,
     cells: Vec<Cell>,
-    pub(crate) governance: Governance,
+    pub(crate) control: SolveControl,
 }
 
 impl MatrixRequest {
@@ -219,7 +202,7 @@ impl MatrixRequest {
         Ok(MatrixRequest {
             label: label.to_string(),
             cells,
-            governance: Governance::default(),
+            control: SolveControl::new(),
         })
     }
 
@@ -246,13 +229,13 @@ impl MatrixRequest {
     /// As [`SolveRequest::with_budget`].
     pub fn with_budget(mut self, budget: Budget) -> Result<Self, EngineError> {
         check_budget(&budget)?;
-        self.governance.budget = budget;
+        self.control.budget = budget;
         Ok(self)
     }
 
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.governance.cancel = Some(token);
+        self.control.token = Some(token);
         self
     }
 
@@ -291,7 +274,7 @@ pub struct VerifyRequest {
     rounds: usize,
     model: ModelSpec,
     runs: Option<Vec<Run>>,
-    pub(crate) governance: Governance,
+    pub(crate) control: SolveControl,
 }
 
 impl VerifyRequest {
@@ -320,7 +303,7 @@ impl VerifyRequest {
             rounds: 14,
             model,
             runs: None,
-            governance: Governance::default(),
+            control: SolveControl::new(),
         })
     }
 
@@ -369,13 +352,13 @@ impl VerifyRequest {
     /// As [`SolveRequest::with_budget`].
     pub fn with_budget(mut self, budget: Budget) -> Result<Self, EngineError> {
         check_budget(&budget)?;
-        self.governance.budget = budget;
+        self.control.budget = budget;
         Ok(self)
     }
 
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.governance.cancel = Some(token);
+        self.control.token = Some(token);
         self
     }
 

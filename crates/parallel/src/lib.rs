@@ -227,15 +227,31 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide thread count: `GACT_THREADS` if set to a positive
-/// integer, otherwise the machine's available parallelism. Read once.
+/// The largest thread count an entry point accepts. Every worker is an OS
+/// thread kept for the process lifetime, so a requested count is bounded
+/// before the pool sees it: [`env_threads`] ignores a larger
+/// `GACT_THREADS`, and `gact_engine::EngineBuilder::threads` rejects one.
+pub const MAX_THREADS: usize = 256;
+
+/// Parses a `GACT_THREADS` value: an integer in `1 ..= MAX_THREADS`, else
+/// `None`.
+fn parse_threads(value: &str) -> Option<usize> {
+    value
+        .trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_THREADS).contains(n))
+}
+
+/// The process-wide thread count: `GACT_THREADS` if set to an integer in
+/// `1 ..= MAX_THREADS`, otherwise the machine's available parallelism.
+/// Read once.
 pub fn env_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::env::var("GACT_THREADS")
             .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
+            .and_then(|s| parse_threads(&s))
             .unwrap_or_else(default_threads)
     })
 }
@@ -596,6 +612,15 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn gact_threads_outside_the_cap_is_ignored() {
+        assert_eq!(parse_threads(" 4 "), Some(4));
+        assert_eq!(parse_threads(&MAX_THREADS.to_string()), Some(MAX_THREADS));
+        for bad in ["0", "257", "1000000", "-1", "four", ""] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
