@@ -45,6 +45,19 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
+    /// The record of non-empty per-iteration wall times, in nanoseconds.
+    pub fn from_samples(id: impl Into<String>, mut per_iter: Vec<f64>) -> Self {
+        per_iter.sort_by(|a, b| a.total_cmp(b));
+        BenchRecord {
+            id: id.into(),
+            median_ns: per_iter[per_iter.len() / 2],
+            min_ns: per_iter[0],
+            mean_ns: per_iter.iter().sum::<f64>() / per_iter.len() as f64,
+            samples: per_iter.len(),
+            solver: None,
+        }
+    }
+
     /// Attaches solver search-effort counters to this record (builder
     /// style, used by the registry's solver workloads).
     pub fn with_solver(mut self, effort: SolveStats) -> Self {
@@ -97,15 +110,7 @@ pub fn measure<O>(
         }
         per_iter.push(start.elapsed().as_nanos() as f64 / batch as f64);
     }
-    per_iter.sort_by(|a, b| a.total_cmp(b));
-    BenchRecord {
-        id,
-        median_ns: per_iter[per_iter.len() / 2],
-        min_ns: per_iter[0],
-        mean_ns: per_iter.iter().sum::<f64>() / per_iter.len() as f64,
-        samples: per_iter.len(),
-        solver: None,
-    }
+    BenchRecord::from_samples(id, per_iter)
 }
 
 /// Escapes backslashes and double quotes for embedding in a JSON string.

@@ -115,30 +115,9 @@ impl ChromaticComplex {
         s.iter().map(|v| self.color(v)).collect()
     }
 
-    /// `χ(C)`: the union of all vertex colors.
-    pub fn chi_complex(&self) -> ColorSet {
-        self.complex
-            .vertex_set()
-            .into_iter()
-            .map(|v| self.color(v))
-            .collect()
-    }
-
     /// The vertex of `s` carrying color `c`, if any.
     pub fn vertex_of_color(&self, s: &Simplex, c: Color) -> Option<VertexId> {
         s.iter().find(|&v| self.color(v) == c)
-    }
-
-    /// All vertices of the complex with color `c`.
-    pub fn vertices_of_color(&self, c: Color) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .complex
-            .vertex_set()
-            .into_iter()
-            .filter(|&v| self.color(v) == c)
-            .collect();
-        out.sort();
-        out
     }
 
     /// Restricts to a subcomplex (which inherits the coloring, §3.2).
@@ -159,20 +138,6 @@ impl ChromaticComplex {
                 .map(|v| (v, self.color(v)))
                 .collect(),
         }
-    }
-
-    /// The subcomplex of simplices whose colors lie in `allowed`, with the
-    /// inherited coloring. This is how a face `t ⊆ s` of the standard
-    /// simplex pulls back: `C ∩ χ^{-1}(t)`.
-    pub fn color_restriction(&self, allowed: ColorSet) -> ChromaticComplex {
-        let keep: std::collections::BTreeSet<VertexId> = self
-            .complex
-            .vertex_set()
-            .into_iter()
-            .filter(|&v| allowed.contains(self.color(v)))
-            .collect();
-        let sub = self.complex.induced(&keep);
-        self.restrict(&sub)
     }
 
     /// Dimension of the underlying complex.
@@ -211,7 +176,6 @@ mod tests {
         let c = tri();
         assert_eq!(c.color(VertexId(2)), Color(2));
         assert_eq!(c.chi(&s(&[0, 2])).len(), 2);
-        assert_eq!(c.chi_complex(), ColorSet::full(2));
     }
 
     #[test]
@@ -242,16 +206,6 @@ mod tests {
             Some(VertexId(1))
         );
         assert_eq!(c.vertex_of_color(&s(&[0, 2]), Color(1)), None);
-        assert_eq!(c.vertices_of_color(Color(0)), vec![VertexId(0)]);
-    }
-
-    #[test]
-    fn color_restriction_pulls_back_faces() {
-        let c = tri();
-        let allowed: ColorSet = [Color(0), Color(1)].into_iter().collect();
-        let restricted = c.color_restriction(allowed);
-        assert_eq!(restricted.complex().facets(), vec![s(&[0, 1])]);
-        assert_eq!(restricted.chi_complex(), allowed);
     }
 
     #[test]

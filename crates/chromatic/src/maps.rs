@@ -166,14 +166,6 @@ impl SimplicialMap {
         }
         Ok(())
     }
-
-    /// Whether the map is noncollapsing (dimension-preserving) on every
-    /// simplex of `from`. Chromatic maps always are.
-    pub fn is_noncollapsing(&self, from: &Complex) -> bool {
-        from.facets()
-            .iter()
-            .all(|s| self.apply_simplex(s).card() == s.card())
-    }
 }
 
 /// Error raised when a multi-map fails the carrier-map conditions of §3.2.
@@ -329,7 +321,6 @@ mod tests {
         let (a, _) = standard_simplex(2);
         let id = SimplicialMap::identity(a.complex());
         assert!(id.validate_chromatic(&a, &a).is_ok());
-        assert!(id.is_noncollapsing(a.complex()));
     }
 
     #[test]
@@ -358,13 +349,6 @@ mod tests {
             f.validate(a.complex(), b.complex()),
             Err(MapError::Unmapped(VertexId(1)))
         );
-    }
-
-    #[test]
-    fn noncollapsing_detects_collapse() {
-        let from = Complex::from_facets([s(&[0, 1])]);
-        let f = SimplicialMap::new([(VertexId(0), VertexId(10)), (VertexId(1), VertexId(10))]);
-        assert!(!f.is_noncollapsing(&from));
     }
 
     #[test]

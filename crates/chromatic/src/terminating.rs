@@ -88,11 +88,6 @@ impl TerminatingSubdivision {
         self.stage
     }
 
-    /// Whether a simplex is stable.
-    pub fn is_stable(&self, s: &Simplex) -> bool {
-        self.stable.contains(s)
-    }
-
     /// Carrier of a current-stage vertex in the *base* complex.
     ///
     /// # Panics
@@ -193,12 +188,6 @@ impl TerminatingSubdivision {
             self.advance();
         }
     }
-
-    /// The smallest stable simplex whose realization contains the point, if
-    /// any. Used when checking admissibility and when extracting protocols.
-    pub fn stable_simplex_containing(&self, p: &[f64]) -> Option<Simplex> {
-        self.geometry.carrier_of_point(p, &self.stable)
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +235,7 @@ mod tests {
         t.advance();
         assert_eq!(t.current().complex().count_of_dim(0), 10);
         assert_eq!(t.current().complex().count_of_dim(2), 11);
-        assert!(t.is_stable(&s(&[0, 1])));
+        assert!(t.stable_complex().contains(&s(&[0, 1])));
         assert!(t.current().complex().contains(&s(&[0, 1])));
         // Advancing again keeps the stable edge whole.
         t.advance();
@@ -271,7 +260,7 @@ mod tests {
         let newly = t.stabilize(central.clone());
         assert_eq!(newly, 7); // triangle + 3 edges + 3 vertices
         t.advance();
-        assert!(t.is_stable(&central[0]));
+        assert!(t.stable_complex().contains(&central[0]));
         assert!(t.current().complex().contains(&central[0]));
         // The stable triangle was not subdivided; the rest was.
         assert!(t.current().complex().count_of_dim(2) > 13);
@@ -307,23 +296,6 @@ mod tests {
         t.advance();
         assert_eq!(t.stable_complex().simplex_count(), before);
         assert!(t.stable_complex().is_subcomplex_of(t.current().complex()));
-    }
-
-    #[test]
-    fn stable_point_location() {
-        let (base, g) = standard_simplex(2);
-        let mut t = TerminatingSubdivision::new(&base, &g);
-        t.stabilize([s(&[0, 1])]);
-        t.advance();
-        // A point on the stable edge is found; the barycenter is not stable.
-        assert_eq!(
-            t.stable_simplex_containing(&[0.5, 0.5, 0.0]),
-            Some(s(&[0, 1]))
-        );
-        assert_eq!(
-            t.stable_simplex_containing(&[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
-            None
-        );
     }
 
     #[test]

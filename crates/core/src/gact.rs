@@ -26,7 +26,7 @@ use gact_topology::{ComplexLocator, Point, Simplex, VertexId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use gact_iis::{ProcessId, ProcessSet};
+use gact_iis::ProcessId;
 
 /// A GACT certificate: terminating subdivision + chromatic map on its
 /// stable complex.
@@ -355,11 +355,6 @@ pub fn run_positions(run: &Run, rounds: usize) -> HashMap<ProcessId, Point> {
     };
     pos.retain(|p, _| parts.contains(*p));
     pos
-}
-
-/// Convenience: the set of participants of round `k` (0-based) of a run.
-pub fn participants_at(run: &Run, k: usize) -> ProcessSet {
-    run.round(k).participants()
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 #![deny(missing_docs)]
 
 pub mod act;
-pub mod approx;
 pub mod cache;
 pub mod control;
 pub mod gact;
@@ -21,7 +20,6 @@ pub mod solver;
 pub use act::{
     act_solve, act_solve_controlled, connectivity_obstruction, ActOutcome, ActVerdict, Obstruction,
 };
-pub use approx::{is_simplicial_approximation, simplicial_approximation, Approximation};
 pub use cache::QueryCache;
 pub use control::{Budget, CancelToken, Interrupt, SolveControl};
 pub use gact::{certificate_from_act_map, run_positions, GactCertificate};

@@ -58,12 +58,6 @@ pub struct DomainTables {
 }
 
 impl DomainTables {
-    /// Number of distinct carriers interned (the length of the per-task
-    /// `Δ`-image table a query builds on top of these tables).
-    pub fn carrier_count(&self) -> usize {
-        self.carriers.len()
-    }
-
     /// Number of constraint simplices (dimension ≥ 1).
     pub fn constraint_count(&self) -> usize {
         self.simplices.len()

@@ -10,6 +10,7 @@ use gact::lt::LtShowcase;
 use gact::solver::SolveStats;
 use gact::{act_solve_controlled, verify_protocol_on_runs, ActOutcome, ActVerdict};
 use gact_chromatic::{CacheStats, ChromaticSubdivision, SimplicialMap};
+use gact_scenarios::matrix::CERT_EXTRA_STAGES;
 use gact_scenarios::{run_matrix_controlled, ControlledMatrixReport};
 
 use crate::error::EngineError;
@@ -447,7 +448,7 @@ impl Engine {
         control.check(0).map_err(EngineError::from_interrupt)?;
         let show = self
             .cache
-            .lt_showcase(request.n(), request.t(), request.extra_stages())
+            .lt_showcase(request.n(), request.t(), CERT_EXTRA_STAGES)
             .map_err(EngineError::Internal)?;
         control.check(0).map_err(EngineError::from_interrupt)?;
         let runs = match request.runs() {

@@ -11,6 +11,7 @@
 use gact::control::{Budget, CancelToken, SolveControl};
 use gact_iis::Run;
 use gact_models::ModelSpec;
+use gact_scenarios::matrix::CERT_VERIFY_ROUNDS;
 use gact_scenarios::{cells_for, Cell, TaskSpec};
 
 use crate::error::EngineError;
@@ -270,7 +271,6 @@ impl MatrixRequest {
 pub struct VerifyRequest {
     n: usize,
     t: usize,
-    extra_stages: usize,
     rounds: usize,
     model: ModelSpec,
     runs: Option<Vec<Run>>,
@@ -278,9 +278,11 @@ pub struct VerifyRequest {
 }
 
 impl VerifyRequest {
-    /// Builds a validated verify request with the default certificate
-    /// shape (3 stabilization stages, 14 verification rounds — the same
-    /// constants the scenario matrix uses).
+    /// Builds a validated verify request for the scenario matrix's
+    /// certificate shape
+    /// ([`CERT_EXTRA_STAGES`](gact_scenarios::matrix::CERT_EXTRA_STAGES)
+    /// stabilization stages), verified over [`CERT_VERIFY_ROUNDS`] rounds
+    /// per run.
     ///
     /// # Errors
     ///
@@ -299,18 +301,11 @@ impl VerifyRequest {
         Ok(VerifyRequest {
             n,
             t,
-            extra_stages: 3,
-            rounds: 14,
+            rounds: CERT_VERIFY_ROUNDS,
             model,
             runs: None,
             control: SolveControl::new(),
         })
-    }
-
-    /// Overrides the number of extra stabilization stages of the witness.
-    pub fn with_extra_stages(mut self, extra_stages: usize) -> Self {
-        self.extra_stages = extra_stages;
-        self
     }
 
     /// Overrides the per-run verification round bound.
@@ -370,11 +365,6 @@ impl VerifyRequest {
     /// Resilience `t` of the certificate.
     pub fn t(&self) -> usize {
         self.t
-    }
-
-    /// Extra stabilization stages of the witness.
-    pub fn extra_stages(&self) -> usize {
-        self.extra_stages
     }
 
     /// Per-run verification round bound.

@@ -119,13 +119,6 @@ pub struct Execution<O> {
     pub participants: ProcessSet,
 }
 
-impl<O> Execution<O> {
-    /// Whether every process in `who` decided.
-    pub fn all_decided(&self, who: ProcessSet) -> bool {
-        who.iter().all(|p| self.outputs.contains_key(&p))
-    }
-}
-
 /// Per-process full-information state.
 struct ProcState {
     view: ViewId,

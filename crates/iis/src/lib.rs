@@ -37,5 +37,5 @@ pub use executor::{execute, Decision, Execution, InputAssignment, Protocol, Step
 pub use process::{ProcessId, ProcessSet};
 pub use round::{Round, RoundError};
 pub use run::{Run, RunError};
-pub use schedule::{enumerate_full_schedules, enumerate_schedules};
+pub use schedule::enumerate_schedules;
 pub use view::{chr_chain, run_subdivision_vertices, run_views, ViewArena, ViewId, ViewNode};

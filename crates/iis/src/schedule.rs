@@ -53,42 +53,10 @@ pub fn enumerate_schedules(participants: ProcessSet, depth: usize) -> Vec<Vec<Ro
     out
 }
 
-/// Enumerates the *full-participation* schedules: every process of
-/// `participants` takes a step in every one of the `depth` rounds. The
-/// count is `fubini(|participants|)^depth`.
-pub fn enumerate_full_schedules(participants: ProcessSet, depth: usize) -> Vec<Vec<Round>> {
-    assert!(!participants.is_empty(), "need at least one participant");
-    let rounds = Round::enumerate(participants);
-    let mut out: Vec<Vec<Round>> = vec![Vec::new()];
-    for _ in 0..depth {
-        let mut next = Vec::with_capacity(out.len() * rounds.len());
-        for partial in &out {
-            for r in &rounds {
-                let mut np = partial.clone();
-                np.push(r.clone());
-                next.push(np);
-            }
-        }
-        out = next;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::ProcessId;
-    use gact_chromatic::fubini;
-
-    #[test]
-    fn full_schedule_counts() {
-        let full = ProcessSet::full(3);
-        assert_eq!(enumerate_full_schedules(full, 1).len() as u64, fubini(3));
-        assert_eq!(
-            enumerate_full_schedules(full, 2).len() as u64,
-            fubini(3) * fubini(3)
-        );
-    }
 
     #[test]
     fn nested_schedule_counts_two_processes() {

@@ -273,8 +273,16 @@ pub fn current_threads() -> usize {
 /// sequential/parallel equivalence tests; `GACT_THREADS` is read once per
 /// process, so tests cannot toggle it). `n = 1` makes every combinator
 /// run inline on the caller.
+///
+/// # Panics
+///
+/// Panics if `n` is outside `1 ..= MAX_THREADS`, before any pool starts.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n >= 1, "thread count must be at least 1");
+    assert!(
+        n <= MAX_THREADS,
+        "thread count must be at most {MAX_THREADS}"
+    );
     let _restore = OverrideGuard::set(n);
     f()
 }
@@ -631,6 +639,14 @@ mod tests {
             with_threads(1, || assert_eq!(current_threads(), 1));
             assert_eq!(current_threads(), 3);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "thread count must be at most")]
+    fn with_threads_rejects_counts_above_the_cap() {
+        // The cap is checked before the override is installed, so the
+        // closure never runs and no pool is started.
+        with_threads(MAX_THREADS + 1, || unreachable!("closure must not run"));
     }
 
     #[test]

@@ -48,9 +48,9 @@ use crate::spec::TaskSpec;
 
 /// Extra stabilization stages built for certificate cells (matches the
 /// Proposition 9.2 showcase used by the `L_t` tests).
-const CERT_EXTRA_STAGES: usize = 3;
+pub const CERT_EXTRA_STAGES: usize = 3;
 /// Round bound when verifying certificate protocols on enumerated runs.
-const CERT_VERIFY_ROUNDS: usize = 14;
+pub const CERT_VERIFY_ROUNDS: usize = 14;
 /// Runs verified per governance checkpoint in the certificate path (the
 /// batch is chunked so a tripped control stops mid-verification).
 const CERT_VERIFY_CHUNK: usize = 8;

@@ -14,7 +14,6 @@
 use gact_iis::ProcessId;
 
 use crate::memory::RegisterArray;
-use crate::scheduler::Scheduler;
 
 /// One labelled cell of the snapshot object.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,34 +69,9 @@ impl<T: Clone + PartialEq> SnapshotObject<T> {
     }
 }
 
-/// A tiny driver: interleaves `writers` (each performing one update) with a
-/// scanner, under a scheduler; used by tests to exercise linearizability on
-/// small cases.
-pub fn interleaved_updates_and_scan<T: Clone + PartialEq>(
-    snapshot: &mut SnapshotObject<T>,
-    writers: Vec<(ProcessId, T)>,
-    scheduler: &mut dyn Scheduler,
-) -> Option<Vec<Option<T>>> {
-    let mut pending = writers;
-    while !pending.is_empty() {
-        let enabled: Vec<ProcessId> = pending.iter().map(|(p, _)| *p).collect();
-        let Some(next) = scheduler.next(&enabled) else {
-            break;
-        };
-        let idx = pending
-            .iter()
-            .position(|(p, _)| *p == next)
-            .expect("scheduler picked an enabled writer");
-        let (p, v) = pending.remove(idx);
-        snapshot.update(p, v);
-    }
-    snapshot.scan(64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::RoundRobin;
 
     #[test]
     fn scan_after_quiescence_sees_all_updates() {
@@ -115,18 +89,5 @@ mod tests {
         s.update(ProcessId(0), 1u32); // same value, new seq
         let c = s.collect();
         assert_eq!(c[0].as_ref().unwrap().0, 1); // second write has seq 1
-    }
-
-    #[test]
-    fn interleaved_driver_returns_final_state() {
-        let mut s = SnapshotObject::new(3);
-        let mut sched = RoundRobin::default();
-        let out = interleaved_updates_and_scan(
-            &mut s,
-            vec![(ProcessId(0), 1u32), (ProcessId(1), 2), (ProcessId(2), 3)],
-            &mut sched,
-        )
-        .unwrap();
-        assert_eq!(out, vec![Some(1), Some(2), Some(3)]);
     }
 }

@@ -72,14 +72,6 @@ impl SimplexArena {
         self.insert_new(s.clone())
     }
 
-    /// Interns an owned simplex without cloning on first insertion.
-    pub fn intern_owned(&mut self, s: Simplex) -> SimplexId {
-        if let Some(&id) = self.index.get(&s) {
-            return id;
-        }
-        self.insert_new(s)
-    }
-
     fn insert_new(&mut self, s: Simplex) -> SimplexId {
         let id = SimplexId(
             u32::try_from(self.items.len()).expect("simplex arena overflow (> 2^32 entries)"),
@@ -124,7 +116,7 @@ mod tests {
         let mut arena = SimplexArena::new();
         let a = arena.intern(&Simplex::from_iter([0u32, 1, 2]));
         let b = arena.intern(&Simplex::from_iter([3u32]));
-        let a2 = arena.intern_owned(Simplex::from_iter([2u32, 1, 0]));
+        let a2 = arena.intern(&Simplex::from_iter([2u32, 1, 0]));
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(arena.len(), 2);

@@ -22,8 +22,8 @@
 //! ## Building
 //!
 //! Every constructor that starts from a list of simplices
-//! ([`Complex::from_facets`], and through it `skeleton`, `induced`,
-//! `union`, `link`, …) is one bulk pass: the list is sorted largest
+//! ([`Complex::from_facets`], and through it `skeleton`, `union`,
+//! `intersection`, `link`, …) is one bulk pass: the list is sorted largest
 //! cardinality first, and a simplex is appended as a facet unless the
 //! membership probe finds it inside one already kept. A simplex can only
 //! be a face of a larger (or equal) one, which is always considered
@@ -543,15 +543,6 @@ impl Complex {
         Complex::from_facets(gen)
     }
 
-    /// The subcomplex induced by a set of vertices: all simplices whose
-    /// vertices lie in `keep`.
-    pub fn induced(&self, keep: &BTreeSet<VertexId>) -> Complex {
-        Complex::from_facets(self.iter_facets().filter_map(|f| {
-            let kept: Vec<VertexId> = f.iter().filter(|v| keep.contains(v)).collect();
-            (!kept.is_empty()).then(|| Simplex::new(kept))
-        }))
-    }
-
     /// Union of two complexes.
     pub fn union(&self, other: &Complex) -> Complex {
         Complex::from_facets(self.iter_facets().chain(other.iter_facets()).cloned())
@@ -621,27 +612,6 @@ impl Complex {
     /// [`crate::connectivity::is_k_connected`] for the full story).
     pub fn is_connected(&self) -> bool {
         !self.is_empty() && self.connected_components().len() == 1
-    }
-
-    /// Whether every vertex belongs to only finitely many simplices. All our
-    /// complexes are finite, so this is trivially true; provided for parity
-    /// with the paper's "locally finite" hypothesis.
-    pub fn is_locally_finite(&self) -> bool {
-        true
-    }
-
-    /// Relabels every vertex through `f`, which must be injective on the
-    /// vertex set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` identifies two distinct vertices of some simplex.
-    pub fn relabel(&self, f: impl Fn(VertexId) -> VertexId) -> Complex {
-        Complex::from_facets(self.iter_facets().map(|s| {
-            let t = Simplex::new(s.iter().map(&f));
-            assert_eq!(t.card(), s.card(), "relabeling must be injective");
-            t
-        }))
     }
 }
 
@@ -796,14 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subcomplex() {
-        let c = triangle();
-        let keep: BTreeSet<VertexId> = [VertexId(0), VertexId(1)].into_iter().collect();
-        let ind = c.induced(&keep);
-        assert_eq!(ind.facets(), vec![s(&[0, 1])]);
-    }
-
-    #[test]
     fn union_intersection_subcomplex() {
         let a = Complex::from_facets([s(&[0, 1])]);
         let b = Complex::from_facets([s(&[1, 2])]);
@@ -813,13 +775,6 @@ mod tests {
         assert_eq!(i.facets(), vec![s(&[1])]);
         assert!(a.is_subcomplex_of(&u));
         assert!(!u.is_subcomplex_of(&a));
-    }
-
-    #[test]
-    fn relabel_shifts_vertices() {
-        let c = triangle().relabel(|v| VertexId(v.0 + 10));
-        assert!(c.contains(&s(&[10, 11, 12])));
-        assert!(!c.contains(&s(&[0])));
     }
 
     #[test]

@@ -28,15 +28,6 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Componentwise convex combination `(1−t)·a + t·b`.
-pub fn lerp(a: &[f64], b: &[f64], t: f64) -> Point {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (1.0 - t) * x + t * y)
-        .collect()
-}
-
 /// Vertex coordinates for a realized complex.
 ///
 /// ```

@@ -8,7 +8,6 @@
 //!   links, skeleta and purity checks;
 //! * [`Geometry`] — geometric realizations with the L1 metric
 //!   `d(α, β) = Σ_v |α(v) − β(v)|`, barycentric point location and carriers;
-//! * [`subdivision`] — barycentric subdivision with carrier tracking;
 //! * [`homology`] — GF(2) simplicial homology (Betti numbers);
 //! * [`connectivity`] — `k`-connectivity verdicts with explicit certainty.
 //!
@@ -37,15 +36,11 @@ pub mod complex;
 pub mod connectivity;
 pub mod geometry;
 pub mod homology;
-pub mod integral;
 pub mod simplex;
-pub mod subdivision;
 
 pub use arena::{SimplexArena, SimplexId};
 pub use complex::{Complex, UnionFind};
 pub use geometry::{
     l1_distance, standard_simplex_geometry, ComplexLocator, Geometry, Point, SimplexLocator,
 };
-pub use integral::{integral_homology, smith_normal_diagonal, HomologyGroup};
 pub use simplex::{Simplex, VertexId, INLINE_CAP};
-pub use subdivision::{barycentric, barycentric_iter, Subdivision};

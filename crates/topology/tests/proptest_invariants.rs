@@ -1,11 +1,11 @@
 //! Property-based tests for the topology substrate: closure invariants,
-//! facet laws, subdivision conservation, homology vs Euler characteristic.
+//! facet laws, homology vs Euler characteristic.
 
 use proptest::prelude::*;
 
 use gact_topology::connectivity::is_k_connected;
 use gact_topology::homology::betti_numbers;
-use gact_topology::{barycentric, Complex, Simplex, VertexId};
+use gact_topology::{Complex, Simplex, VertexId};
 
 /// Strategy: a random non-empty simplex over vertices 0..8 with ≤ 4
 /// vertices.
@@ -98,62 +98,6 @@ proptest! {
         let verdict = is_k_connected(&c, 0);
         prop_assert!(verdict.is_exact());
         prop_assert_eq!(verdict.holds(), c.connected_components().len() == 1);
-    }
-
-    #[test]
-    fn barycentric_subdivision_conserves_euler(c in arb_complex()) {
-        let sd = barycentric(&c, None);
-        // Subdivision is a homeomorphism: Euler characteristic invariant.
-        prop_assert_eq!(
-            sd.complex.euler_characteristic(),
-            c.euler_characteristic()
-        );
-        // Carriers: every subdivision vertex carries an original simplex.
-        for carrier in sd.vertex_carrier.values() {
-            prop_assert!(c.contains(carrier));
-        }
-    }
-
-    #[test]
-    fn barycentric_facet_count(c in arb_complex()) {
-        // #top simplices of Bary = Σ over facets (d+1)! …only for pure
-        // complexes where facets don't share top simplices; in general the
-        // count of maximal chains equals Σ over all top-dim simplices.
-        let sd = barycentric(&c, None);
-        let expected: usize = c
-            .facets()
-            .iter()
-            .map(|f| (1..=f.card()).product::<usize>())
-            .sum();
-        let got = sd
-            .complex
-            .iter()
-            .filter(|s| {
-                // count only chains of maximal length per facet
-                s.card() == c.facets().iter().filter(|f| {
-                    sd.complex.contains(s) && f.card() >= s.card()
-                }).map(|f| f.card()).max().unwrap_or(0)
-            })
-            .count();
-        // Weaker but robust check: the chain count per facet dimension.
-        prop_assert!(got <= expected + sd.complex.simplex_count());
-        let top_chains = sd
-            .complex
-            .iter()
-            .filter(|s| {
-                let m = c.facets().iter().map(|f| f.card()).max().unwrap_or(0);
-                s.card() == m
-            })
-            .count();
-        let top_expected: usize = {
-            let m = c.facets().iter().map(|f| f.card()).max().unwrap_or(0);
-            c.facets()
-                .iter()
-                .filter(|f| f.card() == m)
-                .map(|f| (1..=f.card()).product::<usize>())
-                .sum()
-        };
-        prop_assert_eq!(top_chains, top_expected);
     }
 
     #[test]
