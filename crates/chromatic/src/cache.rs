@@ -379,8 +379,8 @@ impl SubdivisionCache {
     /// that was subdivided (persisted vertices carry their own
     /// singleton). Derived on demand from the cached stage's `key_index`
     /// — a subdivision vertex keyed `(p, seen)` sits in the interior of
-    /// `seen`, exactly what [`crate::chr::chr_step_with_lineage`] would have
-    /// returned — so nothing extra is stored per stage. `None` for
+    /// `seen`, its carrier before [`crate::chr::chr_step`] composes it back
+    /// to the base — so nothing extra is stored per stage. `None` for
     /// `m = 0` (nothing was subdivided) or for stages not currently
     /// cached (evicted or never built).
     pub fn stage_lineage(&self, key: ComplexKey, m: usize) -> Option<Arc<StageLineage>> {
@@ -471,6 +471,12 @@ mod tests {
         let sd2 = cache.chr_iter(&s, &g, 2);
         let lineage = cache.stage_lineage(key, 2).expect("stage 2 lineage");
         assert!(cache.stage_lineage(key, 0).is_none());
+        // Every vertex of Chr^2 has a lineage, and the key index names one
+        // `seen` per vertex: the lineage is exactly that `seen`.
+        assert_eq!(lineage.len(), sd2.complex.complex().vertex_set().len());
+        for ((_, seen), v) in &sd2.key_index {
+            assert_eq!(&lineage[v], seen, "vertex {v:?}");
+        }
         for (v, mid) in lineage.iter() {
             let composed = {
                 let mut it = mid.iter();

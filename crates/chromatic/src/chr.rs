@@ -239,13 +239,19 @@ pub fn fubini(n: usize) -> u64 {
 ///
 /// The coordinates of a subdivision vertex `(p, t)` follow the paper's
 /// formula: `1/(2k−1) · x_p + 2/(2k−1) · Σ_{q ∈ t, q ≠ p} x_q` with
-/// `k = |t|`.
+/// `k = |t|`. This is [`chr_relative`] with nothing stable.
 pub fn chr(c: &ChromaticComplex, g: &Geometry) -> ChromaticSubdivision {
     let mut alloc = VertexAlloc::above(c.complex());
     chr_relative(c, g, &Complex::new(), &mut alloc)
 }
 
 /// Partial chromatic subdivision relative to a stable subcomplex (§6.1).
+///
+/// One pass over facets × ordered partitions × blocks interns each key
+/// `(p, seen)` the first time it is met, so fresh vertex ids are allocated
+/// in that first-encounter order: the ids, facet tables, carriers, key
+/// index and coordinate bits are a function of the input alone, whatever
+/// the thread count of the caller.
 ///
 /// # Panics
 ///
@@ -260,157 +266,6 @@ pub fn chr_relative(
         stable.is_subcomplex_of(c.complex()),
         "stable set must be a subcomplex of the complex being subdivided"
     );
-    // Sequential mode takes the original single-pass construction — no
-    // per-facet buffering, no merge pass — so `GACT_THREADS=1` is the old
-    // code path, byte for byte. The equivalence proptests pin the two
-    // paths against each other.
-    if gact_parallel::current_threads() <= 1 {
-        return chr_relative_sequential(c, g, stable, alloc);
-    }
-
-    // A subdivision vertex produced while expanding one facet, before
-    // global vertex ids exist: the key `(p, seen)`, whether it collapses to
-    // the original vertex `p`, and (for live keys) its coordinates.
-    struct LocalKey {
-        p: VertexId,
-        seen: Simplex,
-        collapsed: bool,
-        coord: Vec<f64>,
-    }
-    /// One facet's expansion: its local keys in first-encounter order, and
-    /// its subdivision facets as indices into that key list.
-    struct FacetExpansion {
-        keys: Vec<LocalKey>,
-        facets: Vec<Vec<u32>>,
-    }
-
-    // Phase 1 — parallel per-facet expansion. Each facet enumerates its
-    // ordered partitions independently; keys are recorded in exactly the
-    // order the sequential single-pass interning would first meet them
-    // (partition order, then block order, then process order), so the
-    // sequential merge below allocates identical vertex ids regardless of
-    // the thread count.
-    let facet_list = c.complex().facets();
-    let expansions: Vec<FacetExpansion> = gact_parallel::par_map(&facet_list, |facet| {
-        let verts: Vec<VertexId> = facet.iter().collect();
-        let mut keys: Vec<LocalKey> = Vec::new();
-        let mut local: HashMap<(VertexId, Simplex), u32> = HashMap::new();
-        let mut facets: Vec<Vec<u32>> = Vec::new();
-        for partition in ordered_partitions(&verts) {
-            let mut new_facet: Vec<u32> = Vec::with_capacity(verts.len());
-            let mut prefix: Vec<VertexId> = Vec::new();
-            for block in &partition {
-                prefix.extend_from_slice(block);
-                let seen = Simplex::new(prefix.iter().copied());
-                for &p in block {
-                    let idx = *local.entry((p, seen.clone())).or_insert_with(|| {
-                        let collapsed = seen.card() == 1 || stable.contains(&seen);
-                        let coord = if collapsed {
-                            Vec::new()
-                        } else {
-                            let k = seen.card() as f64;
-                            let w_self = 1.0 / (2.0 * k - 1.0);
-                            let w_other = 2.0 / (2.0 * k - 1.0);
-                            let mut coord = vec![0.0; g.ambient_dim()];
-                            for q in seen.iter() {
-                                let w = if q == p { w_self } else { w_other };
-                                for (acc, x) in coord.iter_mut().zip(g.coord(q)) {
-                                    *acc += w * x;
-                                }
-                            }
-                            coord
-                        };
-                        keys.push(LocalKey {
-                            p,
-                            seen: seen.clone(),
-                            collapsed,
-                            coord,
-                        });
-                        keys.len() as u32 - 1
-                    });
-                    new_facet.push(idx);
-                }
-            }
-            facets.push(new_facet);
-        }
-        FacetExpansion { keys, facets }
-    });
-
-    // Phase 2 — sequential merge in canonical facet order: intern keys
-    // globally (allocating fresh ids in first-encounter order) and map the
-    // local facet lists to vertex ids.
-    let mut key_to_id: HashMap<(VertexId, Simplex), VertexId> = HashMap::new();
-    let mut colors: HashMap<VertexId, crate::color::Color> = HashMap::new();
-    let mut geometry = Geometry::new(g.ambient_dim());
-    let mut vertex_carrier: HashMap<VertexId, Simplex> = HashMap::new();
-    let mut facets: Vec<Simplex> = Vec::new();
-    for expansion in expansions {
-        let mut local_to_global: Vec<VertexId> = Vec::with_capacity(expansion.keys.len());
-        for key in expansion.keys {
-            // `expansions` is consumed: `seen`/`coord` move into the
-            // global tables instead of being re-cloned per key.
-            let LocalKey {
-                p,
-                seen,
-                collapsed,
-                coord,
-            } = key;
-            let id = match key_to_id.entry((p, seen)) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if collapsed {
-                        // Identified with the original vertex p.
-                        e.insert(p);
-                        colors.insert(p, c.color(p));
-                        geometry.set(p, g.coord(p).clone());
-                        vertex_carrier.insert(p, Simplex::vertex(p));
-                        p
-                    } else {
-                        let id = alloc.fresh();
-                        let seen = e.key().1.clone();
-                        e.insert(id);
-                        colors.insert(id, c.color(p));
-                        geometry.set(id, coord);
-                        vertex_carrier.insert(id, seen);
-                        id
-                    }
-                }
-            };
-            local_to_global.push(id);
-        }
-        for local_facet in &expansion.facets {
-            facets.push(Simplex::new(
-                local_facet.iter().map(|&i| local_to_global[i as usize]),
-            ));
-        }
-    }
-
-    let complex = Complex::from_facets(facets);
-    let colors: Vec<(VertexId, crate::color::Color)> = complex
-        .vertex_set()
-        .into_iter()
-        .map(|v| (v, colors[&v]))
-        .collect();
-    ChromaticSubdivision {
-        complex: ChromaticComplex::new(complex, colors)
-            .expect("chromatic subdivision preserves rainbow coloring"),
-        geometry,
-        vertex_carrier,
-        key_index: key_to_id,
-    }
-}
-
-/// The original single-pass sequential construction of [`chr_relative`]:
-/// one global interning pass over facets × partitions × blocks, with no
-/// intermediate per-facet buffers. The parallel path above allocates the
-/// exact same vertex ids (its merge interns keys in this pass's
-/// first-encounter order), which the equivalence proptests pin.
-fn chr_relative_sequential(
-    c: &ChromaticComplex,
-    g: &Geometry,
-    stable: &Complex,
-    alloc: &mut VertexAlloc,
-) -> ChromaticSubdivision {
     let mut key_to_id: HashMap<(VertexId, Simplex), VertexId> = HashMap::new();
     let mut colors: HashMap<VertexId, crate::color::Color> = HashMap::new();
     let mut geometry = Geometry::new(g.ambient_dim());
@@ -529,21 +384,9 @@ pub fn chr_step(prev: &ChromaticSubdivision) -> ChromaticSubdivision {
 /// vertex of `Chr^{m+1}`, its carrier **in `Chr^m`** (the stage that was
 /// subdivided), before composition back to the base. Persisted vertices
 /// (every vertex of `Chr^m` survives into `Chr^{m+1}` with the same id)
-/// carry their own singleton.
+/// carry their own singleton. [`crate::cache::SubdivisionCache::stage_lineage`]
+/// derives it from the stage's `key_index`.
 pub type StageLineage = HashMap<VertexId, Simplex>;
-
-/// [`chr_step`] that also returns the [`StageLineage`] — the carrier of
-/// each new-stage vertex in the *previous* stage, which composition back
-/// to the base otherwise discards. Incremental consumers (the
-/// [`crate::cache::SubdivisionCache`] rounds-extension, the solver's
-/// incremental sweep) use the lineage to tell persisted vertices
-/// (singleton lineage, identical ids and base carriers across stages)
-/// from genuinely new ones.
-pub fn chr_step_with_lineage(prev: &ChromaticSubdivision) -> (ChromaticSubdivision, StageLineage) {
-    let next = chr(&prev.complex, &prev.geometry);
-    let lineage = next.vertex_carrier.clone();
-    (compose_carriers_into(&prev.vertex_carrier, next), lineage)
-}
 
 /// Iterated standard chromatic subdivision `Chr^m`, composing carriers back
 /// to the base complex.
@@ -723,34 +566,6 @@ mod tests {
         let m1 = sd1.geometry.mesh(sd1.complex.complex());
         let m2 = sd2.geometry.mesh(sd2.complex.complex());
         assert!(m1 < m0 && m2 < m1);
-    }
-
-    #[test]
-    fn chr_step_lineage_matches_key_index() {
-        // The lineage of a step — each new vertex's carrier in the stage
-        // that was subdivided — is exactly the `seen` half of its key
-        // (the cache's on-demand derivation relies on this).
-        let (s, g) = standard_simplex(2);
-        let stage1 = chr_iter(&s, &g, 1);
-        let (stage2, lineage) = chr_step_with_lineage(&stage1);
-        assert_eq!(lineage.len(), stage2.complex.complex().vertex_set().len());
-        for ((_, seen), v) in &stage2.key_index {
-            assert_eq!(&lineage[v], seen, "vertex {v:?}");
-        }
-        // Persisted vertices (all of stage 1) carry their own singleton.
-        for v in stage1.complex.complex().vertex_set() {
-            assert_eq!(lineage[&v], Simplex::vertex(v));
-        }
-        // Composing the lineage with stage 1's base carriers reproduces
-        // stage 2's base carriers.
-        for (v, mid) in &lineage {
-            let mut it = mid.iter();
-            let mut acc = stage1.vertex_carrier[&it.next().unwrap()].clone();
-            for w in it {
-                acc = acc.union(&stage1.vertex_carrier[&w]);
-            }
-            assert_eq!(acc, stage2.vertex_carrier[v], "vertex {v:?}");
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use gact_chromatic::{
-    chr, chr_relative, fubini, ordered_partitions, standard_simplex, TerminatingSubdivision,
-    VertexAlloc,
+    chr, chr_identity, chr_relative, compose_carriers, fubini, ordered_partitions,
+    standard_simplex, top_simplex, TerminatingSubdivision, VertexAlloc,
 };
 use gact_topology::{Complex, Simplex};
 
@@ -189,60 +189,17 @@ fn chr_of_glued_triangles() {
     assert_eq!(sd.complex.complex().euler_characteristic(), 1);
 }
 
-// ---------------------------------------------------------------------
-// Sequential/parallel equivalence: the per-facet parallel expansion of
-// `chr_relative` must reproduce the sequential construction exactly —
-// same facet tables, same vertex ids, same carriers, same key index,
-// bit-identical coordinates — for any thread count.
-
-/// Full structural digest of a subdivision, suitable for equality:
-/// facet tables, coordinate bits, vertex carriers, and the key index.
-type SubdivisionDigest = (
-    Vec<Vec<u32>>,
-    Vec<(u32, Vec<u64>)>,
-    Vec<(u32, String)>,
-    Vec<(u32, String, u32)>,
-);
-
-fn subdivision_digest(sd: &gact_chromatic::ChromaticSubdivision) -> SubdivisionDigest {
-    let facets: Vec<Vec<u32>> = sd
-        .complex
-        .complex()
-        .iter()
-        .map(|s| s.iter().map(|v| v.0).collect())
-        .collect();
-    let mut coords: Vec<(u32, Vec<u64>)> = sd
-        .geometry
-        .iter()
-        .map(|(v, p)| (v.0, p.iter().map(|x| x.to_bits()).collect()))
-        .collect();
-    coords.sort();
-    let mut carriers: Vec<(u32, String)> = sd
-        .vertex_carrier
-        .iter()
-        .map(|(v, c)| (v.0, format!("{c:?}")))
-        .collect();
-    carriers.sort();
-    let mut keys: Vec<(u32, String, u32)> = sd
-        .key_index
-        .iter()
-        .map(|((p, seen), id)| (p.0, format!("{seen:?}"), id.0))
-        .collect();
-    keys.sort();
-    (facets, coords, carriers, keys)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn chr_relative_identical_across_thread_counts(
+    fn chr_relative_keeps_stable_faces_and_base_carriers(
         n in 1usize..=3,
         depth in 1usize..=2,
         face_mask in 0u32..16,
     ) {
         // Random stable face (possibly empty ⇒ plain Chr), iterated to
-        // `depth` so fresh-id allocation order is exercised across stages.
+        // `depth` so fresh-id allocation is exercised across stages.
         let (s, g) = standard_simplex(n);
         let verts: Vec<u32> = (0..=n as u32).filter(|i| face_mask >> i & 1 == 1).collect();
         let stable = if verts.is_empty() {
@@ -250,17 +207,32 @@ proptest! {
         } else {
             Complex::from_facets([Simplex::from_iter(verts.into_iter())])
         };
-        let build = || {
-            let mut alloc = VertexAlloc::above(s.complex());
-            let mut sd = chr_relative(&s, &g, &stable, &mut alloc);
-            for _ in 1..depth {
-                let next = chr_relative(&sd.complex, &sd.geometry, &stable, &mut alloc);
-                sd = gact_chromatic::compose_carriers(sd, next);
+        let top = top_simplex(n);
+        let mut alloc = VertexAlloc::above(s.complex());
+        let mut sd = chr_identity(&s, &g);
+        for _ in 0..depth {
+            let next = chr_relative(&sd.complex, &sd.geometry, &stable, &mut alloc);
+            // A key `(p, seen)` keeps p's id exactly when `seen` is a
+            // singleton or a stable simplex; every other key is a fresh
+            // vertex of p's color inside `seen`.
+            for ((p, seen), id) in &next.key_index {
+                prop_assert!(seen.contains(*p));
+                prop_assert_eq!(*id == *p, seen.card() == 1 || stable.contains(seen));
+                prop_assert_eq!(next.complex.color(*id), sd.complex.color(*p));
             }
-            subdivision_digest(&sd)
-        };
-        let sequential = gact_parallel::with_threads(1, build);
-        let parallel = gact_parallel::with_threads(8, build);
-        prop_assert_eq!(sequential, parallel);
+            sd = compose_carriers(sd, next);
+            // Stable simplices survive with their original vertex ids, and
+            // their vertices carry themselves.
+            prop_assert!(stable.is_subcomplex_of(sd.complex.complex()));
+            for v in stable.vertex_set() {
+                prop_assert_eq!(&sd.vertex_carrier[&v], &Simplex::vertex(v));
+            }
+            // Every vertex carrier is a face of the base simplex whose
+            // realization contains the vertex.
+            for (v, car) in &sd.vertex_carrier {
+                prop_assert!(car.is_face_of(&top));
+                prop_assert!(g.point_in_simplex(sd.geometry.coord(*v), car));
+            }
+        }
     }
 }

@@ -106,21 +106,12 @@ impl GactCertificate {
             }
             Ok(())
         };
-        let threads = gact_parallel::current_threads();
-        if threads <= 1 {
-            // Streaming scan with the original early return on the first
-            // violation.
-            for tau in stable.complex().iter() {
-                check(tau)?;
-            }
-            return Ok(());
-        }
         // Per-simplex Δ checks are independent: fan out over chunks and
         // report the violation of lowest iteration index, which is exactly
         // the one a sequential scan finds first. (Violations are the
         // exceptional path — a full scan is the expected cost.)
         let taus: Vec<&Simplex> = stable.complex().iter().collect();
-        let chunk = (taus.len() / (threads * 8)).max(32);
+        let chunk = (taus.len() / (gact_parallel::current_threads() * 8)).max(32);
         let violations = gact_parallel::par_chunks(&taus, chunk, |_, chunk| {
             chunk.iter().find_map(|tau| check(tau).err())
         });

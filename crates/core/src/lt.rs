@@ -66,13 +66,6 @@ pub fn output_region_locator(affine: &AffineTask) -> ComplexLocator {
     )
 }
 
-/// Whether a point lies in `|L|` of the given affine task. For repeated
-/// queries build an [`output_region_locator`] once and use
-/// [`ComplexLocator::contains`].
-pub fn in_output_region(x: &[f64], affine: &AffineTask) -> bool {
-    output_region_locator(affine).contains(x)
-}
-
 /// The radial projection of §9.2 for `t = n − 1`-style corner notches and
 /// general `t`: pushes `x` away from its nearest forbidden face along a
 /// straight ray until it enters `R_0 = |L_t|`; the identity inside `R_0`.
@@ -236,11 +229,11 @@ mod tests {
 
     #[test]
     fn regions_cover_complement_of_skeleton() {
-        let affine = lt_task(2, 1);
+        let region = output_region_locator(&lt_task(2, 1));
         // Sample points: interior points are eventually covered; corner
         // points never.
-        assert!(in_output_region(&[1.0 / 3.0; 3], &affine));
-        assert!(!in_output_region(&[1.0, 0.0, 0.0], &affine));
+        assert!(region.contains(&[1.0 / 3.0; 3]));
+        assert!(!region.contains(&[1.0, 0.0, 0.0]));
         assert!(on_forbidden_skeleton(&[1.0, 0.0, 0.0], 2, 1));
         assert!(!on_forbidden_skeleton(&[0.5, 0.5, 0.0], 2, 1));
     }
@@ -268,6 +261,7 @@ mod tests {
     #[test]
     fn radial_projection_properties() {
         let affine = lt_task(2, 1);
+        let region = output_region_locator(&affine);
         // Identity on R_0.
         let inside = vec![0.3, 0.4, 0.3];
         assert_eq!(radial_projection(&inside, &affine, 2, 1), inside);
@@ -275,7 +269,7 @@ mod tests {
         // ray from the corner.
         let notch = vec![0.96, 0.02, 0.02];
         let proj = radial_projection(&notch, &affine, 2, 1);
-        assert!(in_output_region(&proj, &affine));
+        assert!(region.contains(&proj));
         // Collinearity with the corner: proj = corner + u*(notch−corner).
         let u = (1.0 - proj[0]) / (1.0 - notch[0]);
         for i in 1..3 {
@@ -286,7 +280,7 @@ mod tests {
         let edge_notch = vec![0.95, 0.05, 0.0];
         let proj_e = radial_projection(&edge_notch, &affine, 2, 1);
         assert!(proj_e[2].abs() < 1e-9);
-        assert!(in_output_region(&proj_e, &affine));
+        assert!(region.contains(&proj_e));
     }
 
     #[test]

@@ -289,13 +289,12 @@ pub(crate) fn solve_compiled_interruptible(
             _ => d,
         }
     };
-    let domains: Vec<Vec<VertexId>> =
-        if gact_parallel::current_threads() <= 1 || domain_hint.is_none() {
-            (0..n).map(build).collect()
-        } else {
-            let indices: Vec<usize> = (0..n).collect();
-            gact_parallel::par_map(&indices, |&i| build(i))
-        };
+    let domains: Vec<Vec<VertexId>> = if domain_hint.is_none() {
+        (0..n).map(build).collect()
+    } else {
+        let indices: Vec<usize> = (0..n).collect();
+        gact_parallel::par_map(&indices, |&i| build(i))
+    };
 
     // Conflict-weighted constraint scheduling: per-vertex constraint
     // lists sorted by descending propagation prune weight (stable, so

@@ -34,10 +34,11 @@
 //! support-table scan serves every structurally identical constraint. The
 //! same classes recur at every round of an incremental `Chr^m` sweep, so
 //! the class tables (and the dead values they record) transfer across
-//! rounds through the shared [`gact_tasks::CompiledTask`]. With more than
-//! one effective thread the distinct class tables of a round are compiled
-//! across workers ([`gact_parallel::par_map`]), merged in class order —
-//! deterministic for every thread count.
+//! rounds through the shared [`gact_tasks::CompiledTask`]. The distinct
+//! class tables of a round are compiled through
+//! [`gact_parallel::par_map`] — across workers when more than one thread
+//! is effective, inline otherwise — and come back in class order, so the
+//! result is deterministic for every thread count.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -214,7 +215,7 @@ pub(crate) fn propagate(
     }
 
     // Compile the distinct class tables — across workers when the pool is
-    // live, merged in class order either way.
+    // live, in class order either way.
     let keys: Vec<ClassKey> = plan
         .classes
         .iter()
@@ -228,11 +229,7 @@ pub(crate) fn propagate(
         })
         .collect();
     let class_tables: Vec<Arc<gact_tasks::ClassDomains>> =
-        if gact_parallel::current_threads() <= 1 || keys.len() < 2 {
-            keys.iter().map(|k| compiled.class_domains(k)).collect()
-        } else {
-            gact_parallel::par_map(&keys, |k| compiled.class_domains(k))
-        };
+        gact_parallel::par_map(&keys, |k| compiled.class_domains(k));
 
     // Class pass: apply each constraint's memoized dead values. Classes
     // that prune nothing (the common case on permissive carrier maps)

@@ -52,7 +52,7 @@
 //! queries (`facets`, `count_of_dim` at top dimension, `chr`'s facet loop)
 //! are now O(facets) instead of O(closure²).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -474,34 +474,8 @@ impl Complex {
         Complex::from_facets(gen)
     }
 
-    /// The open star of `s`: every simplex having `s` as a face (§3.1).
-    /// This is generally *not* a complex.
-    pub fn open_star(&self, s: &Simplex) -> Vec<Simplex> {
-        let mut out: HashSet<Simplex> = HashSet::new();
-        for fid in self.facets_containing(s) {
-            let f = self.resolve(fid);
-            // Faces of `f` containing `s`: `s ∪ (subset of f \ s)`.
-            let rest: Vec<VertexId> = f.iter().filter(|v| !s.contains(*v)).collect();
-            assert!(
-                rest.len() <= 28,
-                "open star only supported for small cofaces"
-            );
-            for mask in 0u32..(1u32 << rest.len()) {
-                let t = Simplex::new(
-                    s.iter().chain(
-                        rest.iter()
-                            .enumerate()
-                            .filter_map(|(i, v)| (mask & (1 << i) != 0).then_some(*v)),
-                    ),
-                );
-                out.insert(t);
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// The closed star of `s`: the smallest subcomplex containing the open
-    /// star (§3.1).
+    /// star, every simplex that has `s` as a face (§3.1).
     pub fn closed_star(&self, s: &Simplex) -> Complex {
         Complex::from_facets(
             self.facets_containing(s)
@@ -727,8 +701,6 @@ mod tests {
     fn stars_and_links_of_vertex() {
         let c = triangle();
         let v = s(&[0]);
-        let star = c.open_star(&v);
-        assert_eq!(star.len(), 4); // {0},{01},{02},{012}
         let cs = c.closed_star(&v);
         assert_eq!(cs.simplex_count(), 7); // whole triangle
         let lk = c.link(&v);
