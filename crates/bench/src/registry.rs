@@ -259,8 +259,10 @@ pub fn registry() -> Vec<Workload> {
     // Direct and routed runs alternate, each side going first in turn, and
     // the gate reads the median over pairs of `routed − (1.05·direct + 2ms)`,
     // so a machine-speed shift between samples hits both sides of a pair.
+    // 31 pairs, not 10: with 10, the median still failed on noise in full
+    // `experiments --json` runs beside a busy process on 2 cores.
     w.push(Workload::new("scenario_matrix/engine_overhead", |id| {
-        const PAIRS: usize = 10;
+        const PAIRS: usize = 31;
         let cells = cells_for("rounds-sweep").expect("registered family");
         let request = MatrixRequest::family("rounds-sweep").expect("registered family");
         let direct = || {

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use gact_topology::{Complex, Geometry, Simplex, VertexId};
+use gact_topology::{Complex, Geometry, Point, Simplex, VertexId};
 
 use crate::complex::ChromaticComplex;
 
@@ -235,11 +235,49 @@ pub fn fubini(n: usize) -> u64 {
     a[n]
 }
 
+/// The position of an immediate-snapshot view (paper §4.4), the one copy
+/// of the `Chr` vertex rule: with `m` positions seen, the process's own
+/// previous position weighs `1/(2m−1)` and every other seen position
+/// `2/(2m−1)`.
+///
+/// `seen` yields `(is_self, position)` for the `m` seen processes; the sum
+/// starts from the zero vector of length `dim` and adds them in the order
+/// given, which fixes the coordinate bits. The `Chr` vertices (seen
+/// vertices in id order), the IIS run dynamics and the certificate
+/// protocol's view positions (seen processes in process order) all go
+/// through here.
+///
+/// ```
+/// use gact_chromatic::snapshot_point;
+/// // Two processes see each other: the color-0 vertex of Chr's central
+/// // edge sits at 1/3 x_0 + 2/3 x_1.
+/// let x = snapshot_point(2, 2, [(true, &[1.0, 0.0][..]), (false, &[0.0, 1.0][..])]);
+/// assert_eq!(x, vec![1.0 / 3.0, 2.0 / 3.0]);
+/// ```
+pub fn snapshot_point<'a>(
+    dim: usize,
+    m: usize,
+    seen: impl IntoIterator<Item = (bool, &'a [f64])>,
+) -> Point {
+    let m = m as f64;
+    let w_self = 1.0 / (2.0 * m - 1.0);
+    let w_other = 2.0 / (2.0 * m - 1.0);
+    let mut point = vec![0.0; dim];
+    for (is_self, x) in seen {
+        let w = if is_self { w_self } else { w_other };
+        for (acc, v) in point.iter_mut().zip(x) {
+            *acc += w * v;
+        }
+    }
+    point
+}
+
 /// Standard chromatic subdivision of a chromatic complex, with geometry.
 ///
 /// The coordinates of a subdivision vertex `(p, t)` follow the paper's
 /// formula: `1/(2k−1) · x_p + 2/(2k−1) · Σ_{q ∈ t, q ≠ p} x_q` with
-/// `k = |t|`. This is [`chr_relative`] with nothing stable.
+/// `k = |t|` ([`snapshot_point`]). This is [`chr_relative`] with nothing
+/// stable.
 pub fn chr(c: &ChromaticComplex, g: &Geometry) -> ChromaticSubdivision {
     let mut alloc = VertexAlloc::above(c.complex());
     chr_relative(c, g, &Complex::new(), &mut alloc)
@@ -296,16 +334,11 @@ pub fn chr_relative(
         let id = alloc.fresh();
         key_to_id.insert(key, id);
         colors.insert(id, c.color(p));
-        let k = seen.card() as f64;
-        let w_self = 1.0 / (2.0 * k - 1.0);
-        let w_other = 2.0 / (2.0 * k - 1.0);
-        let mut coord = vec![0.0; g.ambient_dim()];
-        for q in seen.iter() {
-            let w = if q == p { w_self } else { w_other };
-            for (acc, x) in coord.iter_mut().zip(g.coord(q)) {
-                *acc += w * x;
-            }
-        }
+        let coord = snapshot_point(
+            g.ambient_dim(),
+            seen.card(),
+            seen.iter().map(|q| (q == p, g.coord(q).as_slice())),
+        );
         geometry.set(id, coord);
         vertex_carrier.insert(id, seen.clone());
         id

@@ -8,8 +8,9 @@
 //! * [`ChromaticComplex`] — complexes with rainbow colorings `χ`;
 //! * [`standard::standard_simplex`] — the standard simplex `s`;
 //! * [`chr`](mod@chr) — the standard chromatic subdivision `Chr` and `Chr^m`,
-//!   realized geometrically with the paper's `1/(2k−1)` vertex formula and
-//!   carrier tracking;
+//!   realized geometrically with the paper's `1/(2k−1)` vertex formula
+//!   ([`snapshot_point`], shared with the IIS run dynamics) and carrier
+//!   tracking;
 //! * [`maps`] — chromatic simplicial maps and carrier maps (multi-maps);
 //! * [`link`] — link-connectivity (Def. 8.3);
 //! * [`terminating`] — terminating subdivisions and the stable complex
@@ -40,7 +41,8 @@ pub mod terminating;
 pub use cache::{complex_cache_key, env_cache_capacity, CacheStats, ComplexKey, SubdivisionCache};
 pub use chr::{
     chr, chr_identity, chr_iter, chr_relative, chr_step, compose_carriers, fubini,
-    ordered_partitions, ChromaticSubdivision, FaceCarriers, StageLineage, VertexAlloc,
+    ordered_partitions, snapshot_point, ChromaticSubdivision, FaceCarriers, StageLineage,
+    VertexAlloc,
 };
 pub use color::{Color, ColorSet};
 pub use complex::{ChromaticComplex, ChromaticError};

@@ -23,10 +23,6 @@ use gact_chromatic::{ChromaticSubdivision, SimplicialMap, TerminatingSubdivision
 use gact_iis::Run;
 use gact_tasks::Task;
 use gact_topology::{ComplexLocator, Point, Simplex, VertexId};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use gact_iis::ProcessId;
 
 /// A GACT certificate: terminating subdivision + chromatic map on its
 /// stable complex.
@@ -36,53 +32,31 @@ pub struct GactCertificate {
     pub subdivision: TerminatingSubdivision,
     /// The chromatic map `δ : K(T) → O` (defined on stable vertices).
     pub map: SimplicialMap,
-    /// Lazily prepared point-location over the stable facets (shared so
-    /// concurrent queries never hold the lock while searching).
-    locator: Mutex<Option<Arc<ComplexLocator>>>,
+    /// Point location over the stable facets, built once with the
+    /// certificate and shared read-only by every query.
+    locator: ComplexLocator,
 }
 
 impl GactCertificate {
-    /// Assembles a certificate.
+    /// Assembles a certificate and builds its point locator over the
+    /// stable facets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the subdivision's geometry lacks the coordinates of a
+    /// stable vertex.
     pub fn new(subdivision: TerminatingSubdivision, map: SimplicialMap) -> Self {
+        let locator = ComplexLocator::new(
+            subdivision.geometry(),
+            subdivision.stable_complex().facets().iter(),
+        );
         GactCertificate {
             subdivision,
             map,
-            locator: Mutex::new(None),
+            locator,
         }
     }
 
-    fn with_locator<R>(&self, f: impl FnOnce(&ComplexLocator) -> R) -> R {
-        // Poisoning is recovered everywhere (`PoisonError::into_inner`):
-        // the cached value is only ever a fully built locator, so a panic
-        // on another thread — in locator construction or in a query
-        // closure — never invalidates it, and queries keep working instead
-        // of dying on an unrelated "locator lock poisoned" panic.
-        let cached = self
-            .locator
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let locator = match cached {
-            Some(locator) => locator,
-            None => {
-                // Build *outside* the lock: a panic inside construction
-                // surfaces as itself on every query rather than poisoning
-                // the mutex, and concurrent builders race benignly (the
-                // construction is deterministic; the first insert wins).
-                let facets = self.subdivision.stable_complex().facets();
-                let built = Arc::new(ComplexLocator::new(
-                    self.subdivision.geometry(),
-                    facets.iter(),
-                ));
-                self.locator
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get_or_insert(built)
-                    .clone()
-            }
-        };
-        f(&locator)
-    }
     /// Checks condition (b) of Theorem 6.1: `δ` is a chromatic simplicial
     /// map on the stable complex and `δ(τ) ∈ Δ(carrier τ)` for every
     /// stable simplex `τ`.
@@ -136,65 +110,63 @@ impl GactCertificate {
         max_stage: usize,
     ) -> Option<Simplex> {
         let chroma = self.subdivision.current();
-        self.with_locator(|loc| {
-            let mut best: Option<Simplex> = None;
-            'facet: for (facet, sl) in loc.entries() {
-                if !needed.is_subset_of(chroma.chi(facet)) {
-                    continue;
+        let mut best: Option<Simplex> = None;
+        'facet: for (facet, sl) in self.locator.entries() {
+            if !needed.is_subset_of(chroma.chi(facet)) {
+                continue;
+            }
+            // Union of barycentric supports of the points inside this
+            // facet: the minimal face containing them all.
+            let mut support = vec![false; facet.card()];
+            for p in points {
+                let Some(lam) = sl.barycentric(p) else {
+                    continue 'facet;
+                };
+                if lam.iter().any(|&x| x < -gact_topology::geometry::EPS) {
+                    continue 'facet;
                 }
-                // Union of barycentric supports of the points inside this
-                // facet: the minimal face containing them all.
-                let mut support = vec![false; facet.card()];
-                for p in points {
-                    let Some(lam) = sl.barycentric(p) else {
-                        continue 'facet;
-                    };
-                    if lam.iter().any(|&x| x < -gact_topology::geometry::EPS) {
-                        continue 'facet;
+                for (slot, &l) in support.iter_mut().zip(&lam) {
+                    if l > 1e-9 {
+                        *slot = true;
                     }
-                    for (slot, &l) in support.iter_mut().zip(&lam) {
-                        if l > 1e-9 {
-                            *slot = true;
-                        }
-                    }
-                }
-                let mut chosen: Vec<VertexId> = facet
-                    .iter()
-                    .zip(&support)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(v, _)| v)
-                    .collect();
-                if chosen.is_empty() {
-                    continue;
-                }
-                // Complete missing required colors with the facet's unique
-                // vertex of each color (facets are rainbow).
-                let have: gact_chromatic::ColorSet =
-                    chosen.iter().map(|&v| chroma.color(v)).collect();
-                for c in needed.difference(have).iter() {
-                    chosen.push(chroma.vertex_of_color(facet, c).expect("needed ⊆ χ(facet)"));
-                }
-                let tau = Simplex::new(chosen);
-                match self.subdivision.stage_of(&tau) {
-                    Some(stage) if stage <= max_stage => {}
-                    _ => continue,
-                }
-                // Deterministic choice: smallest cardinality, then
-                // lexicographic — the protocol must be a pure function of
-                // the view.
-                match &best {
-                    Some(b) if (b.card(), b) <= (tau.card(), &tau) => {}
-                    _ => best = Some(tau),
                 }
             }
-            best
-        })
+            let mut chosen: Vec<VertexId> = facet
+                .iter()
+                .zip(&support)
+                .filter(|(_, &keep)| keep)
+                .map(|(v, _)| v)
+                .collect();
+            if chosen.is_empty() {
+                continue;
+            }
+            // Complete missing required colors with the facet's unique
+            // vertex of each color (facets are rainbow).
+            let have: gact_chromatic::ColorSet = chosen.iter().map(|&v| chroma.color(v)).collect();
+            for c in needed.difference(have).iter() {
+                chosen.push(chroma.vertex_of_color(facet, c).expect("needed ⊆ χ(facet)"));
+            }
+            let tau = Simplex::new(chosen);
+            match self.subdivision.stage_of(&tau) {
+                Some(stage) if stage <= max_stage => {}
+                _ => continue,
+            }
+            // Deterministic choice: smallest cardinality, then
+            // lexicographic — the protocol must be a pure function of
+            // the view.
+            match &best {
+                Some(b) if (b.card(), b) <= (tau.card(), &tau) => {}
+                _ => best = Some(tau),
+            }
+        }
+        best
     }
 
     /// Checks admissibility of the subdivision for one run, operationally:
-    /// iterates the run's position dynamics and reports the first round at
-    /// which the configuration (the positions of all round participants)
-    /// lies inside a single stable simplex with a full color set.
+    /// iterates the run's position dynamics ([`Run::positions`]) and
+    /// reports the first round at which the configuration (the positions
+    /// of all round participants) lies inside a single stable simplex with
+    /// a full color set.
     ///
     /// Input-less tasks only (`I = s`, `ρ = id`).
     ///
@@ -204,35 +176,9 @@ impl GactCertificate {
     /// either the subdivision was not built deep enough, or `T` is not
     /// admissible for a model containing this run.
     pub fn landing_round(&self, run: &Run, max_rounds: usize) -> Result<usize, usize> {
-        let n_procs = run.process_count();
-        let mut pos: HashMap<ProcessId, Point> = run
-            .part()
-            .iter()
-            .map(|p| {
-                let mut x = vec![0.0; n_procs];
-                x[p.0 as usize] = 1.0;
-                (p, x)
-            })
-            .collect();
-        for k in 0..max_rounds {
-            let round = run.round(k).clone();
-            let pre = pos.clone();
-            for p in round.participants().iter() {
-                let seen = round.seen_by(p);
-                let m = seen.len() as f64;
-                let (w_self, w_other) = (1.0 / (2.0 * m - 1.0), 2.0 / (2.0 * m - 1.0));
-                let mut x = vec![0.0; n_procs];
-                for q in seen.iter() {
-                    let w = if q == p { w_self } else { w_other };
-                    for (acc, v) in x.iter_mut().zip(&pre[&q]) {
-                        *acc += w * v;
-                    }
-                }
-                pos.insert(p, x);
-            }
-            let parts = round.participants();
-            let points: Vec<Point> = parts.iter().map(|p| pos[&p].clone()).collect();
-            let needed: gact_chromatic::ColorSet = parts.to_colors();
+        for (k, positions) in run.positions().take(max_rounds).enumerate() {
+            let needed = run.round(k).participants().to_colors();
+            let points: Vec<Point> = positions.into_iter().map(|(_, x)| x).collect();
             if self.landing_simplex(&points, needed, k + 1).is_some() {
                 return Ok(k + 1);
             }
@@ -247,16 +193,7 @@ impl GactCertificate {
     /// (`gact_models::enumerate_runs` / `RunSampler`) and every run must
     /// land within the bound.
     pub fn landing_rounds(&self, runs: &[Run], max_rounds: usize) -> Vec<Result<usize, usize>> {
-        self.prepare_locator();
         gact_parallel::par_map(runs, |run| self.landing_round(run, max_rounds))
-    }
-
-    /// Forces the lazy point-locator to exist, so a following parallel
-    /// batch of queries shares the cached `Arc` instead of every worker
-    /// missing the cold cache at once and redundantly building its own
-    /// copy (the construction race is benign but wasteful).
-    pub(crate) fn prepare_locator(&self) {
-        self.with_locator(|_| ());
     }
 }
 
@@ -309,50 +246,11 @@ pub fn certificate_from_act_map(
     GactCertificate::new(t, map.clone())
 }
 
-/// The configuration positions of a run after `k` rounds (for tests and
-/// rendering): each participant's view-vertex coordinates in `|s|`.
-pub fn run_positions(run: &Run, rounds: usize) -> HashMap<ProcessId, Point> {
-    let n_procs = run.process_count();
-    let mut pos: HashMap<ProcessId, Point> = run
-        .part()
-        .iter()
-        .map(|p| {
-            let mut x = vec![0.0; n_procs];
-            x[p.0 as usize] = 1.0;
-            (p, x)
-        })
-        .collect();
-    for k in 0..rounds {
-        let round = run.round(k).clone();
-        let pre = pos.clone();
-        for p in round.participants().iter() {
-            let seen = round.seen_by(p);
-            let m = seen.len() as f64;
-            let (w_self, w_other) = (1.0 / (2.0 * m - 1.0), 2.0 / (2.0 * m - 1.0));
-            let mut x = vec![0.0; n_procs];
-            for q in seen.iter() {
-                let w = if q == p { w_self } else { w_other };
-                for (acc, v) in x.iter_mut().zip(&pre[&q]) {
-                    *acc += w * v;
-                }
-            }
-            pos.insert(p, x);
-        }
-    }
-    let parts = if rounds == 0 {
-        run.part()
-    } else {
-        run.round(rounds - 1).participants()
-    };
-    pos.retain(|p, _| parts.contains(*p));
-    pos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::act::{act_solve, ActVerdict};
-    use gact_iis::Round;
+    use gact_iis::{ProcessId, Round};
     use gact_tasks::affine::full_subdivision_task;
 
     fn round(blocks: &[&[u8]]) -> Round {
@@ -455,13 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn locator_panic_does_not_poison_later_queries() {
-        // Regression: a panic during lazy locator construction used to
-        // poison the internal mutex, so every later query died on an
-        // unrelated "locator lock poisoned" panic instead of surfacing
-        // the real defect. Build a certificate whose geometry is missing
-        // all coordinates: construction panics, repeatedly, with the
-        // *original* error.
+    #[should_panic(expected = "no coordinates")]
+    fn new_rejects_geometry_without_coordinates() {
+        // The locator is built with the certificate, so a geometry missing
+        // the stable vertices' coordinates fails at construction with the
+        // locator's own message, before any query runs.
         use gact_chromatic::{standard_simplex, TerminatingSubdivision};
         let (s, _) = standard_simplex(1);
         let broken_geometry = gact_topology::Geometry::new(2); // no coordinates
@@ -469,40 +365,6 @@ mod tests {
         let facets = t.current().complex().facets();
         t.stabilize(facets);
         let map = SimplicialMap::new(s.complex().vertex_set().into_iter().map(|v| (v, v)));
-        let cert = GactCertificate::new(t, map);
-        let probe =
-            || cert.landing_simplex(&[vec![1.0, 0.0]], gact_chromatic::ColorSet::full(1), 9);
-        let panic_message = |payload: Box<dyn std::any::Any + Send>| -> String {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default()
-        };
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
-            .expect_err("construction must fail on missing coordinates");
-        assert!(
-            panic_message(first).contains("no coordinates"),
-            "first failure surfaces the construction defect"
-        );
-        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
-            .expect_err("the defect is still there on retry");
-        let msg = panic_message(second);
-        assert!(
-            msg.contains("no coordinates"),
-            "later queries must surface the original defect, not a \
-             poisoned-lock panic; got: {msg}"
-        );
-    }
-
-    #[test]
-    fn run_positions_match_projection_direction() {
-        let r = Run::fair(3);
-        let pos = run_positions(&r, 12);
-        for p in r.part().iter() {
-            for x in &pos[&p] {
-                assert!((x - 1.0 / 3.0).abs() < 1e-3);
-            }
-        }
+        let _ = GactCertificate::new(t, map);
     }
 }

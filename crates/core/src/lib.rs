@@ -22,7 +22,7 @@ pub use act::{
 };
 pub use cache::QueryCache;
 pub use control::{Budget, CancelToken, Interrupt, SolveControl};
-pub use gact::{certificate_from_act_map, run_positions, GactCertificate};
+pub use gact::{certificate_from_act_map, GactCertificate};
 pub use lt::{build_lt_showcase, radial_projection, LtShowcase};
 pub use protocol::{verify_protocol_on_runs, CertificateProtocol, RunVerification};
 pub use render::Scene;

@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use gact_chromatic::ColorSet;
+use gact_chromatic::{snapshot_point, ColorSet};
 use gact_iis::view::{ViewArena, ViewId, ViewNode};
 use gact_iis::{execute, Protocol, Run, StepContext};
 use gact_tasks::Task;
@@ -46,8 +46,8 @@ impl<'a> CertificateProtocol<'a> {
         }
     }
     /// Position of `(owner, view)` in `|I|`: leaves read the input
-    /// geometry; snapshots apply the subdivision formula with the owner's
-    /// own sub-view weighted `1/(2m−1)` and the others `2/(2m−1)`.
+    /// geometry; a snapshot is the [`snapshot_point`] of its entries'
+    /// positions, the owner's own sub-view being the self entry.
     fn coord_of_owned(&self, arena: &ViewArena, owner: gact_iis::ProcessId, view: ViewId) -> Point {
         if let Some(p) = self.coords.borrow().get(&(owner, view)) {
             return p.clone();
@@ -57,19 +57,15 @@ impl<'a> CertificateProtocol<'a> {
                 self.task.input_geometry.coord(VertexId(*value)).clone()
             }
             ViewNode::Snap(entries) => {
-                let entries = entries.clone();
-                let m = entries.len() as f64;
-                let (w_self, w_other) = (1.0 / (2.0 * m - 1.0), 2.0 / (2.0 * m - 1.0));
-                let dim = self.task.input_geometry.ambient_dim();
-                let mut acc = vec![0.0; dim];
-                for (q, sub) in &entries {
-                    let c = self.coord_of_owned(arena, *q, *sub);
-                    let w = if *q == owner { w_self } else { w_other };
-                    for (a, x) in acc.iter_mut().zip(&c) {
-                        *a += w * x;
-                    }
-                }
-                acc
+                let seen: Vec<(bool, Point)> = entries
+                    .iter()
+                    .map(|&(q, sub)| (q == owner, self.coord_of_owned(arena, q, sub)))
+                    .collect();
+                snapshot_point(
+                    self.task.input_geometry.ambient_dim(),
+                    seen.len(),
+                    seen.iter().map(|(is_self, x)| (*is_self, x.as_slice())),
+                )
             }
         };
         self.coords.borrow_mut().insert((owner, view), p.clone());
@@ -196,9 +192,6 @@ pub fn verify_protocol_on_runs(
 ) -> Vec<RunVerification> {
     let omega = Simplex::new(task.input.complex().vertex_set());
     let input = task.input_assignment(&omega);
-    // Workers share the certificate's cached locator; force it once here
-    // so a cold certificate isn't built redundantly by every worker.
-    certificate.prepare_locator();
     gact_parallel::par_map(runs, |run| {
         // Fresh protocol instance per run: view ids are arena-local.
         let protocol = CertificateProtocol::new(certificate, task);

@@ -54,15 +54,12 @@ pub fn solve_reference_with_tables(
         .collect();
 
     // Vertex domains: same-colored output vertices allowed by the vertex's
-    // carrier. Sequentially this is a single pass with early exit on the
-    // first empty domain; in parallel mode the per-vertex candidate
-    // construction — including the caller's hint, the expensive part on
-    // the `L_t` pipeline — fans out across workers, reduced in vertex
-    // order.
-    let build_domain = |v: VertexId, cid: u32| -> Vec<VertexId> {
-        let allowed = &images[cid as usize];
+    // carrier, with the caller's hint applied to the full list; one pass
+    // in vertex order, exiting at the first empty domain.
+    let mut domains: Vec<Vec<VertexId>> = Vec::with_capacity(n);
+    for (&v, &cid) in tables.vertices.iter().zip(&tables.vertex_cids) {
         let color = a.color(v);
-        let mut cands: Vec<VertexId> = allowed
+        let mut cands: Vec<VertexId> = images[cid as usize]
             .vertex_set()
             .into_iter()
             .filter(|&w| task.output.color(w) == color)
@@ -70,31 +67,11 @@ pub fn solve_reference_with_tables(
         if let Some(hint) = domain_hint {
             cands = hint(v, &cands);
         }
-        cands
-    };
-    let domains: Vec<Vec<VertexId>> = if gact_parallel::current_threads() <= 1 {
-        let mut domains = Vec::with_capacity(n);
-        for (i, &v) in tables.vertices.iter().enumerate() {
-            let cands = build_domain(v, tables.vertex_cids[i]);
-            if cands.is_empty() {
-                return SolveOutcome::Unsatisfiable(SolveStats::default());
-            }
-            domains.push(cands);
-        }
-        domains
-    } else {
-        let indexed: Vec<(VertexId, u32)> = tables
-            .vertices
-            .iter()
-            .zip(&tables.vertex_cids)
-            .map(|(&v, &cid)| (v, cid))
-            .collect();
-        let domains = gact_parallel::par_map(&indexed, |&(v, cid)| build_domain(v, cid));
-        if domains.iter().any(|d| d.is_empty()) {
+        if cands.is_empty() {
             return SolveOutcome::Unsatisfiable(SolveStats::default());
         }
-        domains
-    };
+        domains.push(cands);
+    }
 
     let sizes: Vec<usize> = domains.iter().map(|d| d.len()).collect();
     let order = variable_order(&sizes, &tables.neighbours, &tables.vertices);

@@ -2,24 +2,26 @@
 //!
 //! A protocol, for solvability purposes, is a partial map from views to
 //! output values (Definition 4.1). The executor drives a [`Protocol`]
-//! through a finite schedule of rounds, maintaining for every process its
-//! interned view, the geometric position of its view-vertex in `|I|` (via
-//! the `1/(2k−1)` update rule, which mirrors the chromatic-subdivision
-//! geometry exactly), and the carrier of everything it has seen. It also
-//! checks the *stability* half of Definition 4.1(1): once a process
-//! decides, all its later views must decide the same value.
+//! through a finite schedule of rounds — the paper's operational semantics:
+//! it maintains every process's interned full-information view (each
+//! round, a participant's new view is the set of pre-round views it sees)
+//! and checks the *stability* half of Definition 4.1(1): once a process
+//! decides, all its later views must decide the same value. Geometry is
+//! not tracked here; a protocol that needs the position of a view derives
+//! it from the view ([`gact_chromatic::snapshot_point`]), and
+//! [`crate::Run::positions`] gives the positions along a run.
 
 use std::collections::HashMap;
 use std::fmt;
-
-use gact_topology::{Point, Simplex};
 
 use crate::process::{ProcessId, ProcessSet};
 use crate::round::Round;
 use crate::view::{ViewArena, ViewId, ViewNode};
 
-/// Everything a protocol may look at when deciding (its full-information
-/// state after one more immediate snapshot).
+/// Everything a protocol may look at when deciding: its full-information
+/// view after one more immediate snapshot. The view embeds the whole
+/// history (who was seen, and what they had seen), so everything else a
+/// protocol needs — inputs, seen sets, positions — is a function of it.
 #[derive(Debug)]
 pub struct StepContext<'a> {
     /// The deciding process.
@@ -30,18 +32,6 @@ pub struct StepContext<'a> {
     pub view: ViewId,
     /// Arena resolving nested views.
     pub arena: &'a ViewArena,
-    /// Processes seen in this round's snapshot.
-    pub seen: ProcessSet,
-    /// Geometric position of the process's view-vertex in `|I|`.
-    pub coord: &'a [f64],
-    /// Positions of all views seen in this round (the simplex spanned by
-    /// the snapshot), keyed by process.
-    pub seen_coords: &'a [(ProcessId, Point)],
-    /// Carrier: the smallest input-complex simplex containing everything
-    /// seen so far.
-    pub carrier: &'a Simplex,
-    /// The process's own input value id.
-    pub input: u32,
 }
 
 /// A protocol: a (partial) decision map from views to outputs.
@@ -53,41 +43,21 @@ pub trait Protocol {
     fn decide(&self, ctx: &StepContext<'_>) -> Option<Self::Output>;
 }
 
-/// Inputs for one execution: for each potential participant, an input value
-/// id, the coordinates of its input vertex, and the input vertex as a
-/// carrier simplex.
+/// Inputs for one execution: the input value id of each potential
+/// participant, which becomes the leaf of its views.
 #[derive(Clone, Debug)]
 pub struct InputAssignment {
     /// Input value ids (used in view leaves).
     pub values: HashMap<ProcessId, u32>,
-    /// Coordinates of each process's input vertex in `|I|`.
-    pub coords: HashMap<ProcessId, Point>,
-    /// The input vertex of each process, as a 0-simplex of the input
-    /// complex.
-    pub carriers: HashMap<ProcessId, Simplex>,
 }
 
 impl InputAssignment {
     /// The input-less assignment over `{p_0, …, p_n}`: process `i` starts
-    /// with value `i` at the `i`-th corner of the standard simplex
+    /// with value `i`, the id of the `i`-th corner of the standard simplex
     /// (paper §4.1, "input-less tasks").
     pub fn standard_corners(n: usize) -> Self {
-        let mut values = HashMap::new();
-        let mut coords = HashMap::new();
-        let mut carriers = HashMap::new();
-        for i in 0..=n {
-            let p = ProcessId(i as u8);
-            values.insert(p, i as u32);
-            let mut x = vec![0.0; n + 1];
-            x[i] = 1.0;
-            coords.insert(p, x);
-            carriers.insert(p, Simplex::vertex(gact_topology::VertexId(i as u32)));
-        }
-        InputAssignment {
-            values,
-            coords,
-            carriers,
-        }
+        let values = (0..=n).map(|i| (ProcessId(i as u8), i as u32)).collect();
+        InputAssignment { values }
     }
 
     /// Participants this assignment can serve.
@@ -119,13 +89,6 @@ pub struct Execution<O> {
     pub participants: ProcessSet,
 }
 
-/// Per-process full-information state.
-struct ProcState {
-    view: ViewId,
-    coord: Point,
-    carrier: Simplex,
-}
-
 /// Drives `protocol` through `schedule` (which must be a valid nested
 /// sequence of rounds whose participants lie in the input domain).
 ///
@@ -140,7 +103,7 @@ pub fn execute<P: Protocol>(
     max_rounds: usize,
 ) -> Execution<P::Output> {
     let mut arena = ViewArena::new();
-    let mut states: HashMap<ProcessId, ProcState> = HashMap::new();
+    let mut views: HashMap<ProcessId, ViewId> = HashMap::new();
     let mut outputs: HashMap<ProcessId, Decision<P::Output>> = HashMap::new();
     let mut violations = Vec::new();
     let mut prev_parts: Option<ProcessSet> = None;
@@ -167,59 +130,24 @@ pub fn execute<P: Protocol>(
             // Initialize leaves for all first-round participants.
             for p in parts.iter() {
                 let value = input.values[&p];
-                states.insert(
-                    p,
-                    ProcState {
-                        view: arena.intern(ViewNode::Input { pid: p, value }),
-                        coord: input.coords[&p].clone(),
-                        carrier: input.carriers[&p].clone(),
-                    },
-                );
+                views.insert(p, arena.intern(ViewNode::Input { pid: p, value }));
             }
         }
         prev_parts = Some(parts);
         rounds_run = k;
 
-        // Snapshot the pre-round states (IS semantics: everyone in the
+        // Snapshot the pre-round views (IS semantics: everyone in the
         // round reads the previous-round views).
-        let pre: HashMap<ProcessId, (ViewId, Point, Simplex)> = parts
-            .iter()
-            .map(|p| {
-                let s = &states[&p];
-                (p, (s.view, s.coord.clone(), s.carrier.clone()))
-            })
-            .collect();
+        let pre = views.clone();
 
         for p in parts.iter() {
-            let seen = round.seen_by(p);
-            let m = seen.len() as f64;
-            let w_self = 1.0 / (2.0 * m - 1.0);
-            let w_other = 2.0 / (2.0 * m - 1.0);
-            let mut coord = vec![0.0; pre[&p].1.len()];
-            let mut carrier = pre[&p].2.clone();
-            let mut subs = Vec::with_capacity(seen.len());
-            let mut seen_coords = Vec::with_capacity(seen.len());
-            for q in seen.iter() {
-                let (qview, qcoord, qcarrier) = &pre[&q];
-                subs.push((q, *qview));
-                let w = if q == p { w_self } else { w_other };
-                for (acc, x) in coord.iter_mut().zip(qcoord) {
-                    *acc += w * x;
-                }
-                carrier = carrier.union(qcarrier);
-                seen_coords.push((q, qcoord.clone()));
-            }
+            let subs = round.seen_by(p).iter().map(|q| (q, pre[&q])).collect();
             let view = arena.intern(ViewNode::Snap(subs));
             let ctx = StepContext {
                 pid: p,
                 round: k,
                 view,
                 arena: &arena,
-                seen,
-                coord: &coord,
-                seen_coords: &seen_coords,
-                carrier: &carrier,
-                input: input.values[&p],
             };
             let decision = protocol.decide(&ctx);
             match (&decision, outputs.get(&p)) {
@@ -248,14 +176,7 @@ pub fn execute<P: Protocol>(
                 }
                 (None, None) => {}
             }
-            states.insert(
-                p,
-                ProcState {
-                    view,
-                    coord,
-                    carrier,
-                },
-            );
+            views.insert(p, view);
         }
     }
 
@@ -341,47 +262,6 @@ mod tests {
         assert_eq!(exec.outputs[&pid(1)].value, 1);
         assert_eq!(exec.outputs[&pid(2)].value, 1);
         assert_eq!(exec.outputs[&pid(0)].value, 0);
-    }
-
-    #[test]
-    fn coordinates_follow_subdivision_geometry() {
-        // After one fair round of 2 processes, each process's view-vertex
-        // sits at the central simplex of Chr(s): color-i vertex at
-        // 1/3 x_i + 2/3 x_j.
-        let input = InputAssignment::standard_corners(1);
-        struct Probe;
-        impl Protocol for Probe {
-            type Output = Vec<(u8, Vec<f64>)>;
-            fn decide(&self, ctx: &StepContext<'_>) -> Option<Self::Output> {
-                Some(vec![(ctx.pid.0, ctx.coord.to_vec())])
-            }
-        }
-        let exec = execute(&Probe, &input, vec![round(&[&[0, 1]])], 10);
-        let c0 = &exec.outputs[&pid(0)].value[0].1;
-        assert!((c0[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((c0[1] - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn carrier_tracks_everything_seen() {
-        let input = InputAssignment::standard_corners(2);
-        struct CarrierProbe;
-        impl Protocol for CarrierProbe {
-            type Output = usize;
-            fn decide(&self, ctx: &StepContext<'_>) -> Option<usize> {
-                Some(ctx.carrier.card())
-            }
-        }
-        let exec = execute(
-            &CarrierProbe,
-            &input,
-            vec![round(&[&[1], &[0, 2]]), round(&[&[0, 1, 2]])],
-            10,
-        );
-        // p1 went first alone: carrier {1}. p0 and p2 saw everyone.
-        assert_eq!(exec.outputs[&pid(1)].value, 1);
-        assert_eq!(exec.outputs[&pid(0)].value, 3);
-        assert_eq!(exec.outputs[&pid(2)].value, 3);
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod view;
 pub use executor::{execute, Decision, Execution, InputAssignment, Protocol, StepContext};
 pub use process::{ProcessId, ProcessSet};
 pub use round::{Round, RoundError};
-pub use run::{Run, RunError};
+pub use run::{Positions, Run, RunError};
 pub use schedule::enumerate_schedules;
 pub use view::{chr_chain, run_subdivision_vertices, run_views, ViewArena, ViewId, ViewNode};

@@ -15,6 +15,9 @@
 
 use std::fmt;
 
+use gact_chromatic::snapshot_point;
+use gact_topology::Point;
+
 use crate::process::{ProcessId, ProcessSet};
 use crate::round::Round;
 
@@ -297,6 +300,65 @@ impl Run {
     pub fn slow(&self) -> ProcessSet {
         ProcessSet::full(self.n_procs).difference(self.fast())
     }
+
+    /// The input-less run dynamics in `|s|` (paper §4.4–§5): every
+    /// participant starts at its corner of the standard simplex, and each
+    /// round moves every round participant to the [`snapshot_point`] of
+    /// the pre-round positions it sees — the `Chr^k` vertex of its view
+    /// (up to the last bit: `Chr` adds the same terms in vertex-id order).
+    ///
+    /// The iterator is infinite; its `k`-th item (`k ≥ 0`) lists the
+    /// positions after round `k + 1` of that round's participants, in
+    /// process order. The affine projection `π(r)` is their limit.
+    pub fn positions(&self) -> Positions<'_> {
+        let corners = (0..self.n_procs)
+            .map(|i| {
+                let mut x = vec![0.0; self.n_procs];
+                x[i] = 1.0;
+                x
+            })
+            .collect();
+        Positions {
+            run: self,
+            round: 0,
+            pos: corners,
+        }
+    }
+}
+
+/// The positions of a run's participants round after round; see
+/// [`Run::positions`].
+#[derive(Debug)]
+pub struct Positions<'a> {
+    run: &'a Run,
+    round: usize,
+    /// Latest position of every process, indexed by process id.
+    pos: Vec<Point>,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = Vec<(ProcessId, Point)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let round = self.run.round(self.round);
+        let dim = self.run.n_procs;
+        let moved: Vec<(ProcessId, Point)> = round
+            .participants()
+            .iter()
+            .map(|p| {
+                let seen = round.seen_by(p);
+                let pre = seen
+                    .iter()
+                    .map(|q| (q == p, self.pos[q.0 as usize].as_slice()));
+                (p, snapshot_point(dim, seen.len(), pre))
+            })
+            .collect();
+        for (p, x) in &moved {
+            self.pos[p.0 as usize].clone_from(x);
+        }
+        self.round += 1;
+        Some(moved)
+    }
 }
 
 /// Within one round, closes a seed set under the two keep-rules: the first
@@ -469,6 +531,18 @@ mod tests {
         // Prefix folded into cycle.
         let c = Run::new(2, [round(&[&[0, 1]])], [round(&[&[0, 1]])]).unwrap();
         assert!(a.same_run(&c));
+    }
+
+    #[test]
+    fn positions_match_projection_direction() {
+        let r = Run::fair(3);
+        let pos = r.positions().nth(11).unwrap();
+        assert_eq!(pos.len(), 3);
+        for (_, x) in &pos {
+            for c in x {
+                assert!((c - 1.0 / 3.0).abs() < 1e-3);
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::round::Round;
 /// allowing processes to drop out between rounds (nested participation).
 ///
 /// The count grows very fast; keep `participants ≤ 3` processes and
-/// `depth ≤ 3` (e.g. 3 processes, depth 2: 1 885 schedules).
+/// `depth ≤ 3` (e.g. 3 processes, depth 2: 325 schedules).
 pub fn enumerate_schedules(participants: ProcessSet, depth: usize) -> Vec<Vec<Round>> {
     assert!(!participants.is_empty(), "need at least one participant");
     assert!(

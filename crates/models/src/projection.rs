@@ -7,8 +7,6 @@
 //! in `π(r)` is exactly the limit views of the fast processes:
 //! `χ(π(r)) = fast(r)`, and `π(r)` determines `minimal(r)`.
 
-use std::collections::HashMap;
-
 use gact_chromatic::standard_simplex;
 use gact_iis::{ProcessId, ProcessSet, Run};
 use gact_topology::Point;
@@ -16,67 +14,46 @@ use gact_topology::Point;
 /// Numerical convergence target for the projection iteration.
 const TOL: f64 = 1e-12;
 
-/// Computes `π(r)` by iterating the subdivision-coordinate update until the
+/// Computes `π(r)` by iterating the run's position dynamics
+/// ([`Run::positions`], the `Chr^k` vertices of its views) until the
 /// configuration simplex of the infinitely-participating processes has L1
 /// diameter below `TOL` (convergence is geometric: each round shrinks the
 /// configuration by a factor `≤ n/(n+1)`).
 pub fn affine_projection(run: &Run) -> Point {
-    let n_procs = run.process_count();
-    // Positions of every participating process, starting at the corners.
-    let mut pos: HashMap<ProcessId, Point> = run
-        .part()
-        .iter()
-        .map(|p| {
-            let mut x = vec![0.0; n_procs];
-            x[p.0 as usize] = 1.0;
-            (p, x)
-        })
-        .collect();
     let inf = run.inf_part();
-    let mut k = 0usize;
-    loop {
-        let round = run.round(k).clone();
-        let pre = pos.clone();
-        for p in round.participants().iter() {
-            let seen = round.seen_by(p);
-            let m = seen.len() as f64;
-            let w_self = 1.0 / (2.0 * m - 1.0);
-            let w_other = 2.0 / (2.0 * m - 1.0);
-            let mut x = vec![0.0; n_procs];
-            for q in seen.iter() {
-                let w = if q == p { w_self } else { w_other };
-                for (acc, v) in x.iter_mut().zip(&pre[&q]) {
-                    *acc += w * v;
+    for (k, positions) in run.positions().enumerate() {
+        let rounds = k + 1;
+        // Every round's participants include ∞-part (participation is
+        // nested), in process order.
+        let limit: Vec<Point> = positions
+            .into_iter()
+            .filter(|(p, _)| inf.contains(*p))
+            .map(|(_, x)| x)
+            .collect();
+        if rounds >= 16 && diameter(&limit) < TOL {
+            // All infinitely-participating positions coincide (within
+            // TOL); return their barycenter.
+            let mut acc = vec![0.0; run.process_count()];
+            for x in &limit {
+                for (a, v) in acc.iter_mut().zip(x) {
+                    *a += v;
                 }
             }
-            pos.insert(p, x);
+            for a in &mut acc {
+                *a /= inf.len() as f64;
+            }
+            return acc;
         }
-        k += 1;
-        if k >= 16 && diameter(&pos, inf) < TOL {
-            break;
-        }
-        assert!(k < 100_000, "affine projection failed to converge");
+        assert!(rounds < 100_000, "affine projection failed to converge");
     }
-    // All infinitely-participating positions coincide (within TOL); return
-    // their barycenter.
-    let mut acc = vec![0.0; n_procs];
-    for p in inf.iter() {
-        for (a, v) in acc.iter_mut().zip(&pos[&p]) {
-            *a += v;
-        }
-    }
-    for a in &mut acc {
-        *a /= inf.len() as f64;
-    }
-    acc
+    unreachable!("run positions are an infinite iterator")
 }
 
-fn diameter(pos: &HashMap<ProcessId, Point>, set: ProcessSet) -> f64 {
-    let pts: Vec<&Point> = set.iter().map(|p| &pos[&p]).collect();
+fn diameter(pts: &[Point]) -> f64 {
     let mut d: f64 = 0.0;
     for i in 0..pts.len() {
         for j in i + 1..pts.len() {
-            let dist: f64 = pts[i].iter().zip(pts[j]).map(|(a, b)| (a - b).abs()).sum();
+            let dist: f64 = pts[i].iter().zip(&pts[j]).map(|(a, b)| (a - b).abs()).sum();
             d = d.max(dist);
         }
     }

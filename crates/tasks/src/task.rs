@@ -198,8 +198,8 @@ impl Task {
     }
 
     /// Builds an [`InputAssignment`] for the executor from an input facet
-    /// `ω`: each process starts at its own-colored vertex of `ω`, with the
-    /// vertex id as its input value.
+    /// `ω`: each process's input value is the id of its own-colored vertex
+    /// of `ω` (a protocol reads positions off `input_geometry` by that id).
     ///
     /// # Panics
     ///
@@ -209,20 +209,11 @@ impl Task {
             self.input.complex().contains(omega),
             "ω must be an input simplex"
         );
-        let mut values = HashMap::new();
-        let mut coords = HashMap::new();
-        let mut carriers = HashMap::new();
-        for v in omega.iter() {
-            let p = ProcessId::from(self.input.color(v));
-            values.insert(p, v.0);
-            coords.insert(p, self.input_geometry.coord(v).clone());
-            carriers.insert(p, Simplex::vertex(v));
-        }
-        InputAssignment {
-            values,
-            coords,
-            carriers,
-        }
+        let values = omega
+            .iter()
+            .map(|v| (ProcessId::from(self.input.color(v)), v.0))
+            .collect();
+        InputAssignment { values }
     }
 }
 
@@ -311,7 +302,8 @@ mod tests {
     fn input_assignment_maps_vertices() {
         let t = identity_task(2);
         let ia = t.input_assignment(&s(&[0, 1, 2]));
-        assert_eq!(ia.values[&ProcessId(1)], 1);
-        assert_eq!(ia.coords[&ProcessId(1)], vec![0.0, 1.0, 0.0]);
+        for i in 0..3u8 {
+            assert_eq!(ia.values[&ProcessId(i)], u32::from(i));
+        }
     }
 }
