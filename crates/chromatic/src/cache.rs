@@ -27,8 +27,8 @@
 //! A long sweep over many base complexes would otherwise grow the entry
 //! map without limit, so the cache is capacity-bounded with
 //! least-recently-used eviction: construct with
-//! [`SubdivisionCache::with_capacity`], or set the `GACT_CACHE_CAP`
-//! environment variable (entries per cache; unset means unbounded).
+//! [`SubdivisionCache::with_capacity`] (entries per cache; the default
+//! cache is unbounded).
 //! Eviction only ever discards *shared, reconstructible* state — a later
 //! query for an evicted stage rebuilds it (structurally identically) from
 //! the deepest surviving stage — and is surfaced by the `evictions`
@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gact_topology::Geometry;
 
@@ -134,19 +134,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// The process-wide default cache capacity: `GACT_CACHE_CAP` if set to a
-/// positive integer, otherwise unbounded. Read once.
-pub fn env_cache_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("GACT_CACHE_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(usize::MAX)
-    })
 }
 
 /// A capacity-bounded map with least-recently-used eviction and
@@ -304,13 +291,12 @@ pub struct SubdivisionCache {
 
 impl Default for SubdivisionCache {
     fn default() -> Self {
-        SubdivisionCache::with_capacity(env_cache_capacity())
+        SubdivisionCache::with_capacity(usize::MAX)
     }
 }
 
 impl SubdivisionCache {
-    /// Creates an empty cache with the process-default capacity
-    /// ([`env_cache_capacity`]).
+    /// Creates an empty, unbounded cache.
     pub fn new() -> Self {
         SubdivisionCache::default()
     }

@@ -38,7 +38,7 @@ pub mod maps;
 pub mod standard;
 pub mod terminating;
 
-pub use cache::{complex_cache_key, env_cache_capacity, CacheStats, ComplexKey, SubdivisionCache};
+pub use cache::{complex_cache_key, CacheStats, ComplexKey, SubdivisionCache};
 pub use chr::{
     chr, chr_identity, chr_iter, chr_relative, chr_step, compose_carriers, fubini,
     ordered_partitions, snapshot_point, ChromaticSubdivision, FaceCarriers, StageLineage,

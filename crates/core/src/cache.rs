@@ -22,8 +22,8 @@
 //!   computed once per `(complex, round)` for the whole sweep.
 //!
 //! All three layers are [`LruMap`]s, bounded with least-recently-used
-//! eviction — construct with [`QueryCache::with_capacity`] or set
-//! `GACT_CACHE_CAP` (entries per layer; unset means unbounded) — that
+//! eviction — construct with [`QueryCache::with_capacity`] (entries per
+//! layer; the default cache is unbounded) — that
 //! surface hit/miss/eviction counters ([`QueryCache::table_stats`],
 //! [`QueryCache::plan_stats`], [`SubdivisionCache::stats`]) that the
 //! `scenarios --json` report exports.
@@ -49,8 +49,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use gact_chromatic::cache::LruMap;
 use gact_chromatic::{
-    complex_cache_key, env_cache_capacity, CacheStats, ChromaticComplex, ChromaticSubdivision,
-    ComplexKey, SubdivisionCache,
+    complex_cache_key, CacheStats, ChromaticComplex, ChromaticSubdivision, ComplexKey,
+    SubdivisionCache,
 };
 use gact_topology::Geometry;
 
@@ -102,14 +102,12 @@ pub struct QueryCache {
 
 impl Default for QueryCache {
     fn default() -> Self {
-        QueryCache::with_capacity(env_cache_capacity())
+        QueryCache::with_capacity(usize::MAX)
     }
 }
 
 impl QueryCache {
-    /// Creates an empty cache with the process-default capacity
-    /// ([`env_cache_capacity`]; unbounded unless `GACT_CACHE_CAP` is
-    /// set).
+    /// Creates an empty, unbounded cache.
     pub fn new() -> Self {
         QueryCache::default()
     }

@@ -24,6 +24,10 @@ use gact_iis::Run;
 use gact_tasks::Task;
 use gact_topology::{ComplexLocator, Point, Simplex, VertexId};
 
+/// Stable simplices per parallel item of the carrier check, so that an
+/// item's `Δ` lookups outweigh the cost of claiming it.
+const CARRIER_CHECK_CHUNK: usize = 64;
+
 /// A GACT certificate: terminating subdivision + chromatic map on its
 /// stable complex.
 #[derive(Debug)]
@@ -85,8 +89,8 @@ impl GactCertificate {
         // the one a sequential scan finds first. (Violations are the
         // exceptional path — a full scan is the expected cost.)
         let taus: Vec<&Simplex> = stable.complex().iter().collect();
-        let chunk = (taus.len() / (gact_parallel::current_threads() * 8)).max(32);
-        let violations = gact_parallel::par_chunks(&taus, chunk, |_, chunk| {
+        let chunks: Vec<&[&Simplex]> = taus.chunks(CARRIER_CHECK_CHUNK).collect();
+        let violations = gact_parallel::par_map(&chunks, |chunk| {
             chunk.iter().find_map(|tau| check(tau).err())
         });
         match violations.into_iter().flatten().next() {

@@ -195,8 +195,7 @@ pub fn verify_protocol_on_runs(
     gact_parallel::par_map(runs, |run| {
         // Fresh protocol instance per run: view ids are arena-local.
         let protocol = CertificateProtocol::new(certificate, task);
-        let schedule: Vec<_> = run.rounds_prefix(max_rounds);
-        let exec = execute(&protocol, &input, schedule, max_rounds);
+        let exec = execute(&protocol, &input, run.rounds(), max_rounds);
         let mut violations = exec.violations.clone();
         for p in run.inf_part().iter() {
             if !exec.outputs.contains_key(&p) {

@@ -8,9 +8,9 @@ use gact::cache::QueryCache;
 use gact::control::Interrupt;
 use gact::lt::LtShowcase;
 use gact::solver::SolveStats;
-use gact::{act_solve_controlled, verify_protocol_on_runs, ActOutcome, ActVerdict};
+use gact::{act_solve_controlled, ActOutcome, ActVerdict};
 use gact_chromatic::{CacheStats, ChromaticSubdivision, SimplicialMap};
-use gact_scenarios::matrix::CERT_EXTRA_STAGES;
+use gact_scenarios::matrix::{verify_lt_runs, CERT_EXTRA_STAGES};
 use gact_scenarios::{run_matrix_controlled, ControlledMatrixReport};
 
 use crate::error::EngineError;
@@ -430,7 +430,10 @@ impl Engine {
     /// witness for `(n, t)` comes from the engine's certificate memo
     /// (built at most once per shape), its extracted protocol is executed
     /// on every enumerated run of the request's model — or the request's
-    /// own runs — and the property violations are counted.
+    /// own runs — and the property violations are counted. The runs are
+    /// verified by `gact_scenarios::matrix::verify_lt_runs`, the loop the
+    /// scenario matrix's certificate cells use, whose control check
+    /// between chunks of runs stops a tripped request mid-batch.
     ///
     /// Verification has no meaningful partial outcome, so a tripped
     /// budget or token surfaces as a structured error instead of an
@@ -458,14 +461,9 @@ impl Engine {
                 built.filter_batch(gact_models::enumerate_runs(request.n() + 1, 0))
             }
         };
-        let reports = self.scoped(|| {
-            verify_protocol_on_runs(
-                &show.certificate,
-                &show.affine.task,
-                &runs,
-                request.rounds(),
-            )
-        });
+        let reports = self
+            .scoped(|| verify_lt_runs(&show, &runs, request.rounds(), control))
+            .map_err(EngineError::from_interrupt)?;
         let violations = reports.iter().map(|r| r.violations.len()).sum();
         self.counters.verifies.fetch_add(1, Ordering::Relaxed);
         Ok(VerifyReply {

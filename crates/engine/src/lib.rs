@@ -71,7 +71,9 @@ pub use engine::{
     Engine, EngineBuilder, EngineStats, MatrixReply, SolveReply, SolveVerdict, VerifyReply,
 };
 pub use error::EngineError;
-pub use request::{MatrixRequest, SolveRequest, VerifyRequest, MAX_REQUEST_DEPTH};
+pub use request::{
+    MatrixRequest, SolveRequest, VerifyRequest, MAX_REQUEST_DEPTH, MAX_VERIFY_ROUNDS,
+};
 
 // Re-exported governance types: requests are built from these.
 pub use gact::control::{Budget, CancelToken, Interrupt};

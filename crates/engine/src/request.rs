@@ -22,6 +22,16 @@ use crate::error::EngineError;
 /// [`EngineError::BudgetExceeded`].
 pub const MAX_REQUEST_DEPTH: usize = 12;
 
+/// Hard ceiling on a verify request's per-run round bound
+/// ([`VerifyRequest::with_rounds`]). Every round of every run is executed,
+/// and a process that never decides costs a landing search per round, so
+/// the bound sets how long one chunk of runs takes between two control
+/// checks. At this cap the slowest shape the engine can build — wait-free
+/// runs against the `n = 2, t = 1` witness — takes about 0.22 s per run
+/// at one thread in a release build (2-vCPU x86-64 VM), 5.6 s for all 25
+/// enumerated runs; the default is [`CERT_VERIFY_ROUNDS`].
+pub const MAX_VERIFY_ROUNDS: usize = 256;
+
 /// Validates a budget's statically checkable fields.
 fn check_budget(budget: &Budget) -> Result<(), EngineError> {
     if budget.max_nodes == Some(0) {
@@ -312,12 +322,19 @@ impl VerifyRequest {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidSpec`] for a zero round bound.
+    /// [`EngineError::InvalidSpec`] for a round bound outside
+    /// `1 ..= MAX_VERIFY_ROUNDS`.
     pub fn with_rounds(mut self, rounds: usize) -> Result<Self, EngineError> {
         if rounds == 0 {
             return Err(EngineError::invalid(
                 "rounds",
                 "verification needs at least one round",
+            ));
+        }
+        if rounds > MAX_VERIFY_ROUNDS {
+            return Err(EngineError::invalid(
+                "rounds",
+                format!("rounds = {rounds} exceeds the engine ceiling of {MAX_VERIFY_ROUNDS}"),
             ));
         }
         self.rounds = rounds;

@@ -3,13 +3,14 @@
 //! the offending field, and the governance error paths (cancellation,
 //! budgets) behave as documented.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gact_engine::{
     Budget, CancelToken, Engine, EngineError, MatrixRequest, SolveRequest, SolveVerdict,
-    VerifyRequest, MAX_REQUEST_DEPTH,
+    VerifyRequest, MAX_REQUEST_DEPTH, MAX_VERIFY_ROUNDS,
 };
-use gact_models::ModelSpec;
+use gact_iis::Run;
+use gact_models::{enumerate_runs, ModelSpec};
 use gact_scenarios::{Cell, TaskSpec};
 
 fn invalid_field(err: EngineError) -> String {
@@ -196,6 +197,70 @@ fn verify_request_paths() {
             ..
         }
     ));
+}
+
+#[test]
+fn verify_round_bound_is_capped() {
+    let request = || VerifyRequest::new(2, 1, ModelSpec::TResilient { t: 1 }).unwrap();
+    // `usize::MAX` used to pass validation and then overflow the schedule
+    // allocation inside verification.
+    for rounds in [MAX_VERIFY_ROUNDS + 1, usize::MAX] {
+        assert_eq!(
+            invalid_field(request().with_rounds(rounds).unwrap_err()),
+            "rounds"
+        );
+    }
+    assert_eq!(
+        request().with_rounds(MAX_VERIFY_ROUNDS).unwrap().rounds(),
+        MAX_VERIFY_ROUNDS
+    );
+}
+
+#[test]
+fn verify_deadline_stops_run_verification_at_the_round_cap() {
+    // One thread and the witness built up front, so the deadline governs
+    // run verification alone. Verification checks its control before
+    // every chunk of 8 runs, so it must stop within the deadline plus one
+    // chunk instead of verifying all 64 runs.
+    let engine = Engine::builder().threads(1).unwrap().build();
+    let base = VerifyRequest::new(2, 1, ModelSpec::TResilient { t: 1 }).unwrap();
+    engine.verify(&base).unwrap();
+    let res1 = ModelSpec::TResilient { t: 1 }
+        .build(3)
+        .filter_batch(enumerate_runs(3, 0));
+    let runs: Vec<Run> = res1.iter().cycle().take(64).cloned().collect();
+    let capped = base.with_rounds(MAX_VERIFY_ROUNDS).unwrap();
+
+    let t0 = Instant::now();
+    let one_chunk = capped.clone().with_runs(runs[..8].to_vec()).unwrap();
+    assert_eq!(engine.verify(&one_chunk).unwrap().violations, 0);
+    let chunk = t0.elapsed();
+
+    let deadline = Duration::from_millis(50);
+    let t0 = Instant::now();
+    let request = capped
+        .with_runs(runs)
+        .unwrap()
+        .with_budget(Budget::unlimited().with_timeout(deadline))
+        .unwrap();
+    let err = engine.verify(&request).unwrap_err();
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(
+            err,
+            EngineError::BudgetExceeded {
+                resource: "deadline",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    // Two more chunks of slack absorb timing noise from tests running
+    // alongside; verifying all 64 runs would take eight chunks.
+    assert!(
+        elapsed < deadline + 3 * chunk,
+        "stopped after {elapsed:?}; one chunk takes {chunk:?}"
+    );
 }
 
 #[test]

@@ -37,24 +37,16 @@ pub trait SubIisModel {
     /// A short human-readable name.
     fn name(&self) -> String;
 
-    /// Membership for a whole batch of runs, fanned out across workers
-    /// (verdicts in run order, identical for every thread count). Batched
-    /// admissibility checks filter enumerated/sampled run sets through
-    /// this before handing them to the protocol verifier.
-    fn contains_batch(&self, runs: &[Run]) -> Vec<bool>
-    where
-        Self: Sync,
-    {
-        gact_parallel::par_map(runs, |run| self.contains(run))
-    }
-
     /// The runs of the batch belonging to the model, in input order.
-    /// Consumes the batch so kept runs move rather than deep-clone.
+    /// Membership is decided across workers (identically for every thread
+    /// count); the batch is consumed so kept runs move rather than
+    /// deep-clone. Batched admissibility checks filter enumerated/sampled
+    /// run sets through this before handing them to the protocol verifier.
     fn filter_batch(&self, runs: Vec<Run>) -> Vec<Run>
     where
         Self: Sync,
     {
-        let keep = self.contains_batch(&runs);
+        let keep = gact_parallel::par_map(&runs, |run| self.contains(run));
         runs.into_iter()
             .zip(keep)
             .filter(|&(_, keep)| keep)
@@ -284,13 +276,10 @@ mod tests {
             Run::new(3, [], [round(&[&[0], &[1], &[2]])]).unwrap(),
             Run::new(3, [round(&[&[0, 1, 2]])], [round(&[&[0, 1]])]).unwrap(),
         ];
-        let batch = res1.contains_batch(&runs);
-        let pointwise: Vec<bool> = runs.iter().map(|r| res1.contains(r)).collect();
-        assert_eq!(batch, pointwise);
-        let kept = res1.filter_batch(runs.to_vec());
-        assert_eq!(kept.len(), batch.iter().filter(|&&b| b).count());
-        for r in &kept {
-            assert!(res1.contains(r));
+        let pointwise: Vec<Run> = runs.iter().filter(|r| res1.contains(r)).cloned().collect();
+        for threads in [1, 4] {
+            let kept = gact_parallel::with_threads(threads, || res1.filter_batch(runs.to_vec()));
+            assert_eq!(kept, pointwise, "threads = {threads}");
         }
     }
 

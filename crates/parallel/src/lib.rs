@@ -1,81 +1,64 @@
 //! # gact-parallel
 //!
-//! A small, dependency-free work-stealing thread pool shared by the whole
-//! workspace (vendored in-tree like the `rand`/`proptest` stand-ins: the
-//! build environment has no network, so `rayon` is not an option).
+//! A small, dependency-free thread pool shared by the whole workspace
+//! (vendored in-tree like the `rand`/`proptest` stand-ins: the build
+//! environment has no network, so `rayon` is not an option).
 //!
 //! ## API
 //!
-//! * [`scope`] — structured fork/join: spawn borrowing closures, all of
-//!   which complete before `scope` returns;
 //! * [`par_map`] — apply a function to every element of a slice across
 //!   workers, collecting results **in input order**;
-//! * [`par_chunks`] — the blocked variant, one call per contiguous chunk;
 //! * [`current_threads`] / [`with_threads`] — the effective parallelism,
 //!   from the `GACT_THREADS` environment variable (or the machine's
-//!   available parallelism), overridable per call tree for tests.
+//!   available parallelism), overridable per call tree;
+//! * [`MAX_THREADS`] — the largest thread count any entry point accepts.
 //!
 //! ## Determinism guarantee
 //!
-//! Every combinator reduces in a **deterministic order**: `par_map` and
-//! `par_chunks` write each result into the slot of its input index, so the
+//! `par_map` writes each result into the slot of its input index, so the
 //! returned `Vec` is independent of scheduling, thread count, and work
 //! distribution. Callers that fold the returned vector therefore observe
 //! the exact sequential reduce order. With an effective thread count of 1
-//! (`GACT_THREADS=1`) nothing is ever sent to the pool — closures run
+//! (`GACT_THREADS=1`) nothing is ever sent to the pool — the closure runs
 //! inline on the caller, byte-identically to a sequential implementation.
 //!
 //! ## Scheduling
 //!
-//! Worker threads are started lazily and kept for the process lifetime.
-//! Each worker owns a deque: it pops its own work LIFO and steals FIFO
-//! from the global injector or from siblings when idle. `par_map`
-//! additionally steals at the item level — workers claim blocks of the
-//! index space from a shared atomic cursor, so an early-finishing worker
-//! picks up the remainder of a slow one's range.
+//! Worker threads are started lazily and kept for the process lifetime;
+//! they all pop jobs from one shared FIFO queue. A `par_map` call queues
+//! `threads − 1` helper jobs and runs the same loop itself: every
+//! participant claims blocks of the index space from a shared atomic
+//! cursor, so an early finisher picks up the remainder of a slow one's
+//! range. While its helpers are pending, the caller runs queued jobs
+//! itself, so a nested `par_map` on a worker never waits on a job that
+//! nobody is free to run.
 //!
-//! Panics propagate: a panicking spawned closure poisons its scope, which
-//! finishes draining (memory safety for borrowed data) and then resumes
-//! the first panic on the caller.
+//! Panics propagate: a panicking item poisons its call, which finishes
+//! draining (memory safety for borrowed data) and then resumes the first
+//! panic on the caller.
 
 #![deny(missing_docs)]
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One worker's deque. Own pops come from the front (LIFO relative to own
-/// pushes, which also go to the front); steals come from the back.
-#[derive(Default)]
-struct WorkerQueue {
-    jobs: Mutex<VecDeque<Job>>,
-}
-
-struct Shared {
-    /// Jobs injected from threads outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker deques, in spawn order (grows, never shrinks).
-    queues: RwLock<Vec<Arc<WorkerQueue>>>,
-    /// Sleep/wake protocol for idle workers.
-    sleep_lock: Mutex<()>,
-    sleep_cv: Condvar,
-}
-
+/// The process-wide pool: one job queue shared by every worker.
 struct Pool {
-    shared: Arc<Shared>,
+    jobs: Mutex<VecDeque<Job>>,
+    /// Notified once per queued job; idle workers wait on it.
+    job_queued: Condvar,
     /// Number of worker threads actually spawned.
-    spawned: Mutex<usize>,
+    workers: Mutex<usize>,
 }
 
 thread_local! {
-    /// Index of the pool worker running on this thread (`None` elsewhere).
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
     /// Per-call-tree thread-count override (0 = none); see [`with_threads`].
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
@@ -83,142 +66,58 @@ thread_local! {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        shared: Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            queues: RwLock::new(Vec::new()),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-        }),
-        spawned: Mutex::new(0),
+        jobs: Mutex::new(VecDeque::new()),
+        job_queued: Condvar::new(),
+        workers: Mutex::new(0),
     })
 }
 
 impl Pool {
-    /// Ensures at least `want` worker threads exist (best effort: spawn
-    /// failures degrade to fewer workers, never to an error — the caller
-    /// thread always participates and can drain everything alone).
-    fn ensure_workers(&self, want: usize) {
-        let mut n = self.spawned.lock().expect("pool spawn lock");
+    /// Ensures at least `want` worker threads exist (best effort: a spawn
+    /// failure leaves fewer workers, never an error — the caller of
+    /// `par_map` always participates and can drain everything alone).
+    fn ensure_workers(&'static self, want: usize) {
+        let mut n = self.workers.lock().expect("pool worker count poisoned");
         while *n < want {
-            let queue = Arc::new(WorkerQueue::default());
-            let shared = Arc::clone(&self.shared);
-            let index = {
-                let mut queues = self.shared.queues.write().expect("pool queues lock");
-                queues.push(Arc::clone(&queue));
-                queues.len() - 1
-            };
+            // Workers are never joined: they serve every later call until
+            // the process exits, and no job can unwind out of one (each
+            // catches its own panic for its latch).
             let spawned = std::thread::Builder::new()
-                .name(format!("gact-worker-{index}"))
-                .spawn(move || worker_main(shared, queue, index));
+                .name(format!("gact-worker-{}", *n))
+                .spawn(move || self.work_forever());
             if spawned.is_err() {
-                // Unregister the dead queue: nothing will ever service it,
-                // and leaving it would make every later ensure_workers call
-                // push another (unbounded growth + pointless steal probes).
-                // No job can have landed on it — only its own (unspawned)
-                // worker pushes there.
-                self.shared.queues.write().expect("pool queues lock").pop();
                 break;
             }
             *n += 1;
         }
     }
 
-    /// Pushes a job: onto the current worker's own deque when called from
-    /// the pool, otherwise onto the injector. Wakes sleepers.
     fn push(&self, job: Job) {
-        let own = WORKER_INDEX.with(|w| w.get());
-        match own {
-            Some(i) => {
-                let queues = self.shared.queues.read().expect("pool queues lock");
-                queues[i]
-                    .jobs
-                    .lock()
-                    .expect("worker deque lock")
-                    .push_front(job);
-            }
-            None => self
-                .shared
-                .injector
-                .lock()
-                .expect("pool injector lock")
-                .push_back(job),
-        }
-        let _guard = self.shared.sleep_lock.lock().expect("pool sleep lock");
-        self.shared.sleep_cv.notify_all();
-    }
-
-    /// Pops any available job: injector first, then steal from the back of
-    /// every worker deque. Used by scope owners helping out and by workers
-    /// whose own deque is empty.
-    fn try_steal(&self, skip: Option<usize>) -> Option<Job> {
-        if let Some(job) = self
-            .shared
-            .injector
+        self.jobs
             .lock()
-            .expect("pool injector lock")
-            .pop_front()
-        {
-            return Some(job);
-        }
-        let queues = self.shared.queues.read().expect("pool queues lock");
-        let len = queues.len();
-        let start = skip.map(|i| i + 1).unwrap_or(0);
-        for off in 0..len {
-            let i = (start + off) % len;
-            if Some(i) == skip {
-                continue;
-            }
-            if let Some(job) = queues[i].jobs.lock().expect("worker deque lock").pop_back() {
-                return Some(job);
-            }
-        }
-        None
+            .expect("pool queue poisoned")
+            .push_back(job);
+        self.job_queued.notify_one();
     }
-}
 
-fn worker_main(shared: Arc<Shared>, own: Arc<WorkerQueue>, index: usize) {
-    WORKER_INDEX.with(|w| w.set(Some(index)));
-    loop {
-        // Pop the own deque in its own statement: the guard must drop
-        // before stealing, or two idle workers each holding their own
-        // deque while probing the other's would deadlock.
-        let own_job = own.jobs.lock().expect("worker deque lock").pop_front();
-        let job = own_job.or_else(|| pool().try_steal(Some(index)));
-        match job {
-            Some(job) => job(),
-            None => {
-                let guard = shared.sleep_lock.lock().expect("pool sleep lock");
-                // Re-check under the sleep lock: a pusher enqueues first
-                // and only then notifies (holding this lock), so either
-                // the work below is visible or the notify is yet to come.
-                if has_work(&shared) {
-                    continue;
+    fn try_pop(&self) -> Option<Job> {
+        self.jobs.lock().expect("pool queue poisoned").pop_front()
+    }
+
+    fn work_forever(&self) {
+        loop {
+            let job = {
+                let mut jobs = self.jobs.lock().expect("pool queue poisoned");
+                loop {
+                    match jobs.pop_front() {
+                        Some(job) => break job,
+                        None => jobs = self.job_queued.wait(jobs).expect("pool queue poisoned"),
+                    }
                 }
-                // The long timeout is belt-and-braces only; idle workers
-                // otherwise sleep without periodic churn.
-                let _ = shared
-                    .sleep_cv
-                    .wait_timeout(guard, Duration::from_millis(500));
-            }
+            };
+            job();
         }
     }
-}
-
-/// Whether any queue holds a job (used by sleepers re-checking under the
-/// sleep lock before waiting).
-fn has_work(shared: &Shared) -> bool {
-    if !shared
-        .injector
-        .lock()
-        .expect("pool injector lock")
-        .is_empty()
-    {
-        return true;
-    }
-    let queues = shared.queues.read().expect("pool queues lock");
-    queues
-        .iter()
-        .any(|q| !q.jobs.lock().expect("worker deque lock").is_empty())
 }
 
 fn default_threads() -> usize {
@@ -229,8 +128,8 @@ fn default_threads() -> usize {
 
 /// The largest thread count an entry point accepts. Every worker is an OS
 /// thread kept for the process lifetime, so a requested count is bounded
-/// before the pool sees it: [`env_threads`] ignores a larger
-/// `GACT_THREADS`, and `gact_engine::EngineBuilder::threads` rejects one.
+/// before the pool sees it: a larger `GACT_THREADS` is ignored, and
+/// `gact_engine::EngineBuilder::threads` rejects one.
 pub const MAX_THREADS: usize = 256;
 
 /// Parses a `GACT_THREADS` value: an integer in `1 ..= MAX_THREADS`, else
@@ -246,7 +145,7 @@ fn parse_threads(value: &str) -> Option<usize> {
 /// The process-wide thread count: `GACT_THREADS` if set to an integer in
 /// `1 ..= MAX_THREADS`, otherwise the machine's available parallelism.
 /// Read once.
-pub fn env_threads() -> usize {
+fn env_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::env::var("GACT_THREADS")
@@ -257,7 +156,8 @@ pub fn env_threads() -> usize {
 }
 
 /// The effective thread count for work started from this thread: the
-/// innermost [`with_threads`] override, or [`env_threads`].
+/// innermost [`with_threads`] override, or else `GACT_THREADS` (read once
+/// per process) or the machine's available parallelism.
 pub fn current_threads() -> usize {
     let o = THREAD_OVERRIDE.with(|t| t.get());
     if o >= 1 {
@@ -268,11 +168,11 @@ pub fn current_threads() -> usize {
 }
 
 /// Runs `f` with the effective thread count forced to `n` for `f`'s whole
-/// call tree — including closures `f` spawns onto the pool, which inherit
-/// the spawner's effective count while they run (used by the
+/// call tree — including [`par_map`] items that run on pool workers,
+/// which inherit the caller's effective count while they run (used by the
 /// sequential/parallel equivalence tests; `GACT_THREADS` is read once per
-/// process, so tests cannot toggle it). `n = 1` makes every combinator
-/// run inline on the caller.
+/// process, so tests cannot toggle it). `n = 1` makes every `par_map` run
+/// inline on the caller.
 ///
 /// # Panics
 ///
@@ -302,128 +202,95 @@ impl Drop for OverrideGuard {
     }
 }
 
-struct ScopeState {
+/// Completion latch of one [`par_map`] call: its helper jobs still to
+/// finish and the first panic one of them raised. It lives in an `Arc`,
+/// never on the caller's stack: a helper still touches it after its last
+/// decrement, when the caller may already have returned.
+struct Latch {
     pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     done_lock: Mutex<()>,
     done_cv: Condvar,
 }
 
-/// A fork/join scope: closures spawned on it may borrow from the enclosing
-/// stack frame and are guaranteed to finish before [`scope`] returns.
-pub struct Scope<'env> {
-    state: Arc<ScopeState>,
-    inline: bool,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns `f` onto the pool (or runs it inline when the effective
-    /// thread count is 1).
-    pub fn spawn<F: FnOnce() + Send + 'env>(&self, f: F) {
-        if self.inline {
-            f();
-            return;
-        }
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let state = Arc::clone(&self.state);
-        // Jobs inherit the spawner's *effective* thread count, so a
-        // `with_threads` override really covers its whole call tree:
-        // nested parallel stages inside a worker job see the same count
-        // the spawning thread did, not the worker's default.
-        let inherited = current_threads();
-        let wrapper = move || {
+/// Runs `work` on the caller and on `helpers` queued jobs, each of which
+/// runs it with the caller's effective thread count, and returns once all
+/// of them have finished. The first panic (the caller's, else a helper's)
+/// is resumed after that.
+fn run_with_helpers(helpers: usize, work: &(dyn Fn() + Sync)) {
+    let pool = pool();
+    pool.ensure_workers(helpers);
+    let latch = Arc::new(Latch {
+        pending: AtomicUsize::new(helpers),
+        panic: Mutex::new(None),
+        done_lock: Mutex::new(()),
+        done_cv: Condvar::new(),
+    });
+    let inherited = current_threads();
+    for _ in 0..helpers {
+        let latch = Arc::clone(&latch);
+        let job = move || {
             let _restore = OverrideGuard::set(inherited);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                state
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+                latch
                     .panic
                     .lock()
-                    .expect("scope panic slot")
+                    .expect("latch panic slot poisoned")
                     .get_or_insert(payload);
             }
-            if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let _guard = state.done_lock.lock().expect("scope done lock");
-                state.done_cv.notify_all();
+            if latch.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+                let _guard = latch.done_lock.lock().expect("latch lock poisoned");
+                latch.done_cv.notify_all();
             }
         };
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(wrapper);
-        // SAFETY: `scope` never returns (or unwinds) before `pending` drops
-        // to zero, so the erased-lifetime closure cannot outlive the data
-        // it borrows. This is the standard scoped-task erasure (same shape
-        // as `std::thread::scope`'s internals).
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        pool().push(job);
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
+        // SAFETY: the job borrows `work`, which outlives this call. This
+        // function neither returns nor unwinds before `pending` reaches
+        // zero, and a job decrements it only after its call of `work` has
+        // ended; what the job touches afterwards is the `Arc`-owned latch.
+        // So the erased lifetime never outlives the borrowed data (the
+        // same erasure as `std::thread::scope`'s internals).
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        pool.push(job);
     }
-}
-
-/// Structured fork/join: calls `f` with a [`Scope`], then blocks — helping
-/// execute pool work — until every spawned closure has finished. The first
-/// panic (from the body or any spawned closure) is resumed on the caller
-/// *after* the scope has fully drained.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    let threads = current_threads();
-    if threads <= 1 {
-        let s = Scope {
-            state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-                done_lock: Mutex::new(()),
-                done_cv: Condvar::new(),
-            }),
-            inline: true,
-            _env: PhantomData,
-        };
-        return f(&s);
-    }
-    pool().ensure_workers(threads - 1);
-    let s = Scope {
-        state: Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        }),
-        inline: false,
-        _env: PhantomData,
-    };
-    let body = catch_unwind(AssertUnwindSafe(|| f(&s)));
-    // Help drain until all spawned tasks completed. Required for memory
-    // safety even when the body panicked: tasks borrow the caller's frame.
-    // `skip: None` deliberately includes this thread's own worker deque:
-    // a nested scope on a worker spawns onto that deque, and nobody else
-    // is guaranteed to steal from it.
-    while s.state.pending.load(Ordering::SeqCst) > 0 {
-        match pool().try_steal(None) {
+    let body = catch_unwind(AssertUnwindSafe(work));
+    // Help run queued jobs until every helper has finished. Required for
+    // memory safety even when the body panicked: helpers borrow `work`.
+    while latch.pending.load(Ordering::SeqCst) > 0 {
+        match pool.try_pop() {
             Some(job) => job(),
             None => {
-                let guard = s.state.done_lock.lock().expect("scope done lock");
-                if s.state.pending.load(Ordering::SeqCst) == 0 {
+                let guard = latch.done_lock.lock().expect("latch lock poisoned");
+                if latch.pending.load(Ordering::SeqCst) == 0 {
                     break;
                 }
-                let _ = s
-                    .state
-                    .done_cv
-                    .wait_timeout(guard, Duration::from_millis(1));
+                // A timed wait: a job queued meanwhile notifies the
+                // workers, not this latch.
+                let _ = latch.done_cv.wait_timeout(guard, Duration::from_millis(1));
             }
         }
     }
-    match body {
-        Err(payload) => resume_unwind(payload),
-        Ok(result) => {
-            let stashed = s.state.panic.lock().expect("scope panic slot").take();
-            if let Some(payload) = stashed {
-                resume_unwind(payload);
-            }
-            result
-        }
+    if let Err(payload) = body {
+        resume_unwind(payload);
+    }
+    let stashed = latch
+        .panic
+        .lock()
+        .expect("latch panic slot poisoned")
+        .take();
+    if let Some(payload) = stashed {
+        resume_unwind(payload);
     }
 }
 
 /// Raw result slots shared across workers; each index is written exactly
-/// once, by whichever worker claimed it.
+/// once, by whichever participant claimed it.
 struct Slots<R>(*mut Option<R>);
+// SAFETY: the pointer is only used to write an `R` into a slot that one
+// participant claimed exclusively from the cursor (so moving `R` values
+// across threads needs `R: Send`), and the slots' `Vec` outlives every
+// participant because `run_with_helpers` returns only after all finished.
 unsafe impl<R: Send> Sync for Slots<R> {}
-unsafe impl<R: Send> Send for Slots<R> {}
 
 /// Applies `f` to every element, in parallel, returning results **in input
 /// order** (the deterministic reduce order — independent of thread count
@@ -447,7 +314,7 @@ where
     let next = AtomicUsize::new(0);
     let next = &next;
     // Blocks keep atomic traffic low while still letting fast workers
-    // steal the tail of slow ones' ranges.
+    // take over the tail of slow ones' ranges.
     let block = (n / (threads * 4)).max(1);
     let f = &f;
     let work = move || loop {
@@ -458,42 +325,16 @@ where
         let end = (start + block).min(n);
         for (i, item) in items.iter().enumerate().take(end).skip(start) {
             let value = f(item);
-            // SAFETY: index `i` is claimed by exactly one worker, and
-            // `results` outlives the scope below.
+            // SAFETY: index `i` is claimed by exactly one participant, and
+            // `results` outlives `run_with_helpers` below.
             unsafe { *slots.0.add(i) = Some(value) };
         }
     };
-    scope(|s| {
-        for _ in 0..threads - 1 {
-            s.spawn(work);
-        }
-        work();
-    });
+    run_with_helpers(threads - 1, &work);
     results
         .into_iter()
         .map(|slot| slot.expect("every par_map slot is filled"))
         .collect()
-}
-
-/// Applies `f` to consecutive chunks of at most `chunk_size` elements, in
-/// parallel; `f` receives the chunk's starting index and the chunk.
-/// Results come back in chunk order (deterministic reduce order).
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero.
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let ranges: Vec<(usize, usize)> = (0..items.len())
-        .step_by(chunk_size)
-        .map(|start| (start, (start + chunk_size).min(items.len())))
-        .collect();
-    par_map(&ranges, |&(start, end)| f(start, &items[start..end]))
 }
 
 #[cfg(test)]
@@ -526,48 +367,51 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_everything_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let sums = with_threads(4, || {
-            par_chunks(&items, 10, |start, chunk| {
-                assert_eq!(chunk[0], start);
-                chunk.iter().sum::<usize>()
-            })
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn scope_runs_all_tasks() {
-        let counter = AtomicU64::new(0);
-        with_threads(4, || {
-            scope(|s| {
-                for _ in 0..64 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            })
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn scope_tasks_borrow_stack_data() {
+    fn par_map_items_borrow_stack_data() {
         let data: Vec<u64> = (0..100).collect();
         let total = AtomicU64::new(0);
-        with_threads(4, || {
-            scope(|s| {
-                for chunk in data.chunks(7) {
-                    let total = &total;
-                    s.spawn(move || {
-                        total.fetch_add(chunk.iter().sum::<u64>(), Ordering::SeqCst);
-                    });
-                }
+        let chunks: Vec<&[u64]> = data.chunks(7).collect();
+        let sums = with_threads(4, || {
+            par_map(&chunks, |chunk| {
+                let sum = chunk.iter().sum::<u64>();
+                total.fetch_add(sum, Ordering::SeqCst);
+                sum
             })
         });
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
         assert_eq!(total.load(Ordering::SeqCst), data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn items_inherit_the_callers_thread_count() {
+        let items: Vec<u32> = (0..64).collect();
+        let seen = with_threads(3, || par_map(&items, |_| current_threads()));
+        assert_eq!(seen, vec![3; items.len()]);
+    }
+
+    #[test]
+    fn latch_outlives_many_two_item_maps() {
+        // A helper touches the latch after its last decrement, when the
+        // caller may already have returned. Items spin so that workers
+        // take helper jobs, and the caller overwrites its stack between
+        // calls, so a latch kept in the caller's frame would be read as
+        // garbage.
+        #[inline(never)]
+        fn overwrite_stack() {
+            std::hint::black_box([0xa5u8; 2048]);
+        }
+        with_threads(4, || {
+            for i in 0..100_000u64 {
+                let out = par_map(&[i, i + 1], |&x| {
+                    for _ in 0..200 {
+                        std::hint::black_box(x);
+                    }
+                    x * 2
+                });
+                overwrite_stack();
+                assert_eq!(out, vec![2 * i, 2 * i + 2]);
+            }
+        });
     }
 
     #[test]
@@ -588,20 +432,24 @@ mod tests {
 
     #[test]
     fn spawned_panic_propagates_after_drain() {
+        // The panic is raised inside a nested map, on whichever thread ran
+        // that item, and must reach the outermost caller.
+        let items: Vec<u32> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
             with_threads(4, || {
-                scope(|s| {
-                    for i in 0..16 {
-                        s.spawn(move || {
-                            if i == 7 {
-                                panic!("boom");
-                            }
-                        });
-                    }
+                par_map(&items, |&x| {
+                    let inner: Vec<u32> = (0..8).collect();
+                    par_map(&inner, |&y| {
+                        if x == 7 && y == 5 {
+                            panic!("boom");
+                        }
+                        y
+                    })
                 })
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the nested panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
         // The pool is still usable afterwards.
         let ok = with_threads(4, || par_map(&[1u32, 2, 3], |&x| x * 10));
         assert_eq!(ok, vec![10, 20, 30]);
@@ -651,14 +499,13 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
-        // No pool interaction: spawned closures run immediately, in order.
+        // No pool interaction: items run on the caller, in order.
+        let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
         with_threads(1, || {
-            scope(|s| {
-                for i in 0..5 {
-                    let order = &order;
-                    s.spawn(move || order.lock().unwrap().push(i));
-                }
+            par_map(&[0, 1, 2, 3, 4], |&i| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(i);
             })
         });
         assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);

@@ -38,9 +38,12 @@ use std::time::{Duration, Instant};
 use gact::cache::QueryCache;
 use gact::control::{Interrupt, SolveControl};
 use gact::solver::SolveStats;
-use gact::{act_solve_controlled, verify_protocol_on_runs, ActOutcome, ActVerdict};
+use gact::{
+    act_solve_controlled, verify_protocol_on_runs, ActOutcome, ActVerdict, LtShowcase,
+    RunVerification,
+};
 use gact_chromatic::CacheStats;
-use gact_iis::{execute, InputAssignment, ProcessId};
+use gact_iis::{execute, InputAssignment, ProcessId, Run};
 use gact_models::{enumerate_runs, ModelSpec};
 use gact_tasks::commit_adopt::{check_commit_adopt, CaOutput, CommitAdopt};
 
@@ -167,10 +170,8 @@ impl Verdict {
 /// extracted protocol on every enumerated run of the (t-resilient) model.
 ///
 /// The witness build is one cached construction (never stored partially);
-/// the run-verification batch is chunked with a control check between
-/// chunks, so a tripped control stops mid-batch. Chunking does not change
-/// the result: every run is verified independently, and the reports are
-/// aggregated identically to one whole-batch call.
+/// the runs are verified by [`verify_lt_runs`], so a tripped control stops
+/// mid-batch.
 fn evaluate_lt_certificate(
     n: usize,
     t: usize,
@@ -189,17 +190,8 @@ fn evaluate_lt_certificate(
     };
     let built = model.build(n + 1);
     let runs = built.filter_batch(enumerate_runs(n + 1, 0));
-    let mut bad = 0usize;
-    for chunk in runs.chunks(CERT_VERIFY_CHUNK) {
-        control.check(0)?;
-        let reports = verify_protocol_on_runs(
-            &show.certificate,
-            &show.affine.task,
-            chunk,
-            CERT_VERIFY_ROUNDS,
-        );
-        bad += reports.iter().filter(|r| !r.violations.is_empty()).count();
-    }
+    let reports = verify_lt_runs(&show, &runs, CERT_VERIFY_ROUNDS, control)?;
+    let bad = reports.iter().filter(|r| !r.violations.is_empty()).count();
     Ok(if bad == 0 {
         Verdict::Solvable(SolvableBy::ResilientCertificate {
             bands: show.band_sizes.len(),
@@ -213,6 +205,35 @@ fn evaluate_lt_certificate(
             ),
         }
     })
+}
+
+/// Verifies the extracted protocol of a Proposition 9.2 witness on `runs`,
+/// `rounds` rounds per run, in chunks of `CERT_VERIFY_CHUNK` runs with a
+/// control check before each chunk, so a tripped control stops mid-batch.
+/// Chunking does not change the result: every run is verified
+/// independently, and the reports come back in run order exactly as one
+/// whole-batch [`verify_protocol_on_runs`] call returns them.
+///
+/// # Errors
+///
+/// The [`Interrupt`] of the first checkpoint at which `control` trips.
+pub fn verify_lt_runs(
+    show: &LtShowcase,
+    runs: &[Run],
+    rounds: usize,
+    control: &SolveControl,
+) -> Result<Vec<RunVerification>, Interrupt> {
+    let mut reports = Vec::with_capacity(runs.len());
+    for chunk in runs.chunks(CERT_VERIFY_CHUNK) {
+        control.check(0)?;
+        reports.extend(verify_protocol_on_runs(
+            &show.certificate,
+            &show.affine.task,
+            chunk,
+            rounds,
+        ));
+    }
+    Ok(reports)
 }
 
 /// The outcome of one cell under a *controlled* sweep: a completed

@@ -36,8 +36,8 @@
 //! The three cache objects report the sweep's hit/miss/eviction counters
 //! for the shared `Chr^m` subdivisions, the solver's domain tables, and
 //! the propagate layer's constraint-class plans; evictions stay zero
-//! unless the caches are capacity-bounded (`GACT_CACHE_CAP` or
-//! `QueryCache::with_capacity`).
+//! unless the caches are capacity-bounded (`QueryCache::with_capacity`,
+//! or `EngineBuilder::cache_capacity` for an engine's caches).
 //!
 //! Every field except the `wall_ms` timings and the `solver` effort
 //! (which varies with the thread count) is deterministic for a given
