@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates, in one run, every figure-level and
-//! theorem-level artifact of the paper (rows F1–F5 and E1–E11, listed in
-//! `docs/benchmarks.md`). Prints paper-vs-measured rows.
+//! theorem-level artifact of the paper (rows F1–F5, E1–E6, E8, E10 and
+//! E11). Prints paper-vs-measured rows.
 //!
 //! Run with: `cargo run --release -p gact-bench --bin experiments`
 //!
@@ -25,7 +25,6 @@ use gact_models::{
     affine_projection, canonical_coloring_at_depth, enumerate_runs, RunSampler, SamplerConfig,
     SubIisModel, TResilient, WaitFree,
 };
-use gact_shm::{run_is, simulate_iis, RandomScheduler};
 use gact_tasks::affine::{full_subdivision_task, lt_task, total_order_task};
 use gact_tasks::classic::consensus_task;
 use gact_tasks::commit_adopt::{check_commit_adopt, CaOutput, CommitAdopt};
@@ -317,49 +316,6 @@ fn main() {
         "χ(π(r)) = fast(r), minimal(r) ≤ r",
         "identities",
         &format!("verified on {checked} enumerated runs"),
-    );
-
-    // ---------------- E9 -------------------------------------------------
-    header("E9", "SM substrate: Borowsky–Gafni IS + forward simulation");
-    let mut is_ok = 0usize;
-    for seed in 0..100u64 {
-        let mut sched = RandomScheduler::seeded(seed);
-        let invocations: Vec<(ProcessId, u32)> =
-            (0..4u8).map(|i| (ProcessId(i), i as u32)).collect();
-        let obj = run_is(&invocations, &mut sched, 4, 1_000_000);
-        let all = (0..4u8).all(|i| obj.output(ProcessId(i)).is_some());
-        if all {
-            is_ok += 1;
-        }
-    }
-    row(
-        "IS wait-free termination (random schedules)",
-        "always",
-        &format!("{is_ok}/100"),
-    );
-    let mut sim_ok = 0usize;
-    let (base, geom) = standard_simplex(2);
-    let chain = chr_chain(&base, &geom, 2);
-    let omega: HashMap<ProcessId, VertexId> = (0..3u8)
-        .map(|i| (ProcessId(i), VertexId(i as u32)))
-        .collect();
-    for seed in 0..50u64 {
-        let mut sched = RandomScheduler::seeded(seed);
-        let sim = simulate_iis(3, ProcessSet::full(3), 2, &mut sched, 10_000_000);
-        if sim.rounds.len() == 2 && sim.stuck.is_empty() {
-            let verts = run_subdivision_vertices(&sim.rounds, &omega, &chain);
-            let cfg = Simplex::new(verts[2].values().copied());
-            if chain[1].complex.complex().contains(&cfg) {
-                sim_ok += 1;
-            }
-        } else {
-            sim_ok += 1; // partial runs are fine; they count as consistent
-        }
-    }
-    row(
-        "SM→IIS simulations land on Chr² simplices",
-        "always",
-        &format!("{sim_ok}/50"),
     );
 
     // ---------------- E6 -------------------------------------------------

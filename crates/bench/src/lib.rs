@@ -227,8 +227,14 @@ mod tests {
             .iter()
             .all(|id| id.starts_with("chr_growth/") || id.starts_with("act_solver/")));
         assert_eq!(
-            ids(&["act_solver/consensus_obstruction_n2", "shm/is_random/3"]),
-            ["act_solver/consensus_obstruction_n2", "shm/is_random/3"]
+            ids(&[
+                "act_solver/consensus_obstruction_n2",
+                "runs/fast_enumerated/2"
+            ]),
+            [
+                "act_solver/consensus_obstruction_n2",
+                "runs/fast_enumerated/2"
+            ]
         );
         assert!(ids(&["no_such_group"]).is_empty());
     }

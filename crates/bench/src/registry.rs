@@ -22,7 +22,6 @@ use gact_engine::{Engine, MatrixRequest};
 use gact_iis::{ProcessId, ProcessSet, Run};
 use gact_models::{affine_projection, enumerate_runs, RunSampler, SamplerConfig};
 use gact_scenarios::{cells_for, run_matrix_cold, run_matrix_controlled, Cell};
-use gact_shm::{run_is, simulate_iis, RandomScheduler, RoundRobin, Scheduler};
 use gact_tasks::affine::{full_subdivision_task, lt_task, lt_task_in};
 use gact_tasks::classic::consensus_task;
 
@@ -67,24 +66,6 @@ pub fn select<S: AsRef<str>>(prefixes: &[S]) -> Vec<Workload> {
 /// baseline of the engine facade gate.
 fn rounds_sweep_cached(cells: &[Cell]) -> gact_scenarios::ControlledMatrixReport {
     run_matrix_controlled(cells, &QueryCache::new(), &SolveControl::new())
-}
-
-/// One Borowsky–Gafni immediate-snapshot object with `n` participants
-/// under a fresh `scheduler()`. Every scheduler here is deterministic, so
-/// checking that every invocation returned on one run before timing
-/// checks every timed run.
-fn is_workload<S: Scheduler + 'static>(id: String, n: usize, scheduler: fn() -> S) -> Workload {
-    Workload::new(id, move |id| {
-        let invocations: Vec<(ProcessId, u32)> =
-            (0..n as u8).map(|i| (ProcessId(i), i as u32)).collect();
-        let run = || run_is(&invocations, &mut scheduler(), n, 1_000_000);
-        let obj = run();
-        assert!(
-            (0..n as u8).all(|i| obj.output(ProcessId(i)).is_some()),
-            "an IS invocation did not return (n={n})"
-        );
-        measure(id, 20, run)
-    })
 }
 
 /// Every benchmark workload, grouped as in `docs/benchmarks.md`. Building
@@ -214,32 +195,6 @@ pub fn registry() -> Vec<Workload> {
             acc
         })
     }));
-
-    // E9: the shared-memory substrate — immediate-snapshot throughput
-    // under both schedulers, then the SM→IIS forward simulation.
-    for n in [3usize, 6, 10] {
-        w.push(is_workload(
-            format!("shm/is_round_robin/{n}"),
-            n,
-            RoundRobin::default,
-        ));
-        w.push(is_workload(format!("shm/is_random/{n}"), n, || {
-            RandomScheduler::seeded(42)
-        }));
-    }
-    for layers in [1usize, 4, 8] {
-        w.push(Workload::new(
-            format!("shm/iis_over_shm_3procs/{layers}"),
-            move |id| {
-                let sim = || {
-                    let mut sched = RandomScheduler::seeded(7);
-                    simulate_iis(3, ProcessSet::full(3), layers, &mut sched, 10_000_000)
-                };
-                assert_eq!(sim().rounds.len(), layers);
-                measure(id, 20, sim)
-            },
-        ));
-    }
 
     // Scenario-matrix throughput: the `rounds-sweep` family with the
     // shared cross-query cache versus cold per-cell caches.

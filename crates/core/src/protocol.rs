@@ -33,6 +33,7 @@ pub struct CertificateProtocol<'a> {
     pub task: &'a Task,
     coords: RefCell<HashMap<(gact_iis::ProcessId, ViewId), Point>>,
     landings: RefCell<HashMap<ViewId, Option<(Simplex, ColorSet)>>>,
+    decisions: RefCell<HashMap<(gact_iis::ProcessId, ViewId), Option<VertexId>>>,
 }
 
 impl<'a> CertificateProtocol<'a> {
@@ -43,6 +44,7 @@ impl<'a> CertificateProtocol<'a> {
             task,
             coords: RefCell::new(HashMap::new()),
             landings: RefCell::new(HashMap::new()),
+            decisions: RefCell::new(HashMap::new()),
         }
     }
     /// Position of `(owner, view)` in `|I|`: leaves read the input
@@ -104,36 +106,42 @@ impl<'a> CertificateProtocol<'a> {
         result
     }
 
-    /// The chain of this process's own views, oldest (round 1) first.
-    fn own_history(
+    /// The decision of `pid` holding `view` at `round` (memoized per
+    /// process, since the members of one block share a snapshot view):
+    /// the decision of its previous own view if that one decided,
+    /// otherwise `δ` of the own-colored vertex of this snapshot's landing
+    /// simplex. Oldest decision first, so a decision stays fixed in all
+    /// later rounds.
+    fn decision_of(
         &self,
         arena: &ViewArena,
         pid: gact_iis::ProcessId,
         view: ViewId,
-    ) -> Vec<ViewId> {
-        let mut chain = vec![view];
-        let mut cur = view;
-        loop {
-            match arena.node(cur) {
-                ViewNode::Input { .. } => break,
-                ViewNode::Snap(entries) => {
-                    let prev = entries
-                        .iter()
-                        .find(|(q, _)| *q == pid)
-                        .map(|&(_, v)| v)
-                        .expect("self-inclusion");
-                    match arena.node(prev) {
-                        ViewNode::Input { .. } => break,
-                        _ => {
-                            chain.push(prev);
-                            cur = prev;
-                        }
-                    }
-                }
-            }
+        round: usize,
+    ) -> Option<VertexId> {
+        if let Some(&hit) = self.decisions.borrow().get(&(pid, view)) {
+            return hit;
         }
-        chain.reverse();
-        chain
+        let ViewNode::Snap(entries) = arena.node(view) else {
+            return None;
+        };
+        let prev = entries
+            .iter()
+            .find(|(q, _)| *q == pid)
+            .map(|&(_, v)| v)
+            .expect("self-inclusion");
+        let decision = self.decision_of(arena, pid, prev, round - 1).or_else(|| {
+            let (tau, _) = self.landing_of(arena, view, round)?;
+            let v = self
+                .certificate
+                .subdivision
+                .current()
+                .vertex_of_color(&tau, gact_chromatic::Color(pid.0))
+                .expect("landing simplex covers the snapshot colors");
+            Some(self.certificate.map.apply(v))
+        });
+        self.decisions.borrow_mut().insert((pid, view), decision);
+        decision
     }
 }
 
@@ -141,24 +149,7 @@ impl Protocol for CertificateProtocol<'_> {
     type Output = VertexId;
 
     fn decide(&self, ctx: &StepContext<'_>) -> Option<VertexId> {
-        let my_color = gact_chromatic::Color(ctx.pid.0);
-        // Walk own history oldest-first: the first snapshot landing in a
-        // stage-eligible stable simplex decides (and stays decided in all
-        // later rounds).
-        for (idx, snap) in self
-            .own_history(ctx.arena, ctx.pid, ctx.view)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some((tau, _)) = self.landing_of(ctx.arena, snap, idx + 1) {
-                let chroma = self.certificate.subdivision.current();
-                let v = chroma
-                    .vertex_of_color(&tau, my_color)
-                    .expect("landing simplex covers the snapshot colors");
-                return Some(self.certificate.map.apply(v));
-            }
-        }
-        None
+        self.decision_of(ctx.arena, ctx.pid, ctx.view, ctx.round)
     }
 }
 

@@ -44,6 +44,23 @@ fn formerly_panicking_specs_are_rejected_with_fields() {
             "n_values",
         ),
         (TaskSpec::Consensus { n: 1, n_values: 0 }, "n_values"),
+        // A value count past the `u32` vertex ids used to truncate to an
+        // empty value list and panic in the task constructor.
+        (
+            TaskSpec::Consensus {
+                n: 0,
+                n_values: 1 << 32,
+            },
+            "n_values",
+        ),
+        (
+            TaskSpec::SetAgreement {
+                n: 0,
+                n_values: 1 << 32,
+                k: 1,
+            },
+            "n_values",
+        ),
         // `lt_task` used to assert t < n + 1.
         (TaskSpec::Lt { n: 2, t: 3 }, "t"),
         (TaskSpec::Lt { n: 1, t: 9 }, "t"),

@@ -104,20 +104,6 @@ impl ViewArena {
             ViewNode::Snap(subs) => subs.iter().any(|&(_, s)| self.occurs_in(needle, s)),
         }
     }
-
-    /// Renders a view as nested braces, for debugging and documentation.
-    pub fn render(&self, id: ViewId) -> String {
-        match self.node(id) {
-            ViewNode::Input { pid, value } => format!("({pid},{value})"),
-            ViewNode::Snap(subs) => {
-                let inner: Vec<String> = subs
-                    .iter()
-                    .map(|&(q, s)| format!("{q}:{}", self.render(s)))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
-        }
-    }
 }
 
 /// The views of all participants along a run prefix: `views[k][p]` is
@@ -310,14 +296,6 @@ mod tests {
         assert!(a.occurs_in(v0_init, views[2][&pid(1)]));
         let v1_init = views[0][&pid(1)];
         assert!(!a.occurs_in(v1_init, views[2][&pid(0)]));
-    }
-
-    #[test]
-    fn render_shows_nesting() {
-        let mut a = ViewArena::new();
-        let views = run_views(&[round(&[&[0], &[1]])], &identity_inputs(2), &mut a);
-        assert_eq!(a.render(views[1][&pid(0)]), "{p0:(p0,0)}");
-        assert_eq!(a.render(views[1][&pid(1)]), "{p0:(p0,0),p1:(p1,1)}");
     }
 
     #[test]

@@ -69,9 +69,11 @@ pub enum TaskSpec {
     },
 }
 
-/// The value list `{0, …, n_values − 1}` used by pseudosphere specs.
+/// The value list `{0, …, n_values − 1}` used by pseudosphere specs;
+/// [`TaskSpec::validate`] guarantees that `n_values` fits in a `u32`.
 fn values(n_values: usize) -> Vec<u32> {
-    (0..n_values as u32).collect()
+    let n_values = u32::try_from(n_values).expect("validated: n_values fits in a u32");
+    (0..n_values).collect()
 }
 
 /// Commit–adopt cells draw fixed proposals from an 8-entry table (see
@@ -89,7 +91,9 @@ impl TaskSpec {
     ///
     /// * `n` — more than [`gact_tasks::MAX_PROCESSES`] processes (or, for
     ///   commit–adopt, more than the proposal table holds);
-    /// * `n_values` — an empty input value set on a pseudosphere spec;
+    /// * `n_values` — an empty input value set on a pseudosphere spec, or
+    ///   one whose `(n + 1) · n_values` pseudosphere vertex ids do not fit
+    ///   in a `u32`;
     /// * `k` — `k = 0` set agreement;
     /// * `t` — `L_t` with `t > n`.
     ///
@@ -107,22 +111,11 @@ impl TaskSpec {
         match *self {
             TaskSpec::Consensus { n, n_values } => {
                 check_spec_dimension(n)?;
-                if n_values == 0 {
-                    return Err(SpecError::new(
-                        "n_values",
-                        "consensus needs at least one input value",
-                    ));
-                }
-                Ok(())
+                check_value_count(n, n_values, "consensus")
             }
             TaskSpec::SetAgreement { n, n_values, k } => {
                 check_spec_dimension(n)?;
-                if n_values == 0 {
-                    return Err(SpecError::new(
-                        "n_values",
-                        "set agreement needs at least one input value",
-                    ));
-                }
+                check_value_count(n, n_values, "set agreement")?;
                 if k == 0 {
                     return Err(SpecError::new("k", "k-set agreement needs k >= 1"));
                 }
@@ -240,6 +233,31 @@ fn check_spec_dimension(n: usize) -> Result<(), gact_tasks::SpecError> {
     Ok(())
 }
 
+/// Value-count guard shared by the pseudosphere specs: at least one
+/// value, and every vertex id `p · n_values + j` of the pseudosphere
+/// ([`gact_tasks::classic::pseudosphere_vertex`]) representable.
+fn check_value_count(n: usize, n_values: usize, task: &str) -> Result<(), gact_tasks::SpecError> {
+    if n_values == 0 {
+        return Err(gact_tasks::SpecError::new(
+            "n_values",
+            format!("{task} needs at least one input value"),
+        ));
+    }
+    let ids_fit = (n + 1)
+        .checked_mul(n_values)
+        .is_some_and(|ids| u32::try_from(ids).is_ok());
+    if !ids_fit {
+        return Err(gact_tasks::SpecError::new(
+            "n_values",
+            format!(
+                "(n + 1) · n_values = {} · {n_values} pseudosphere vertex ids do not fit in a u32",
+                n + 1
+            ),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +282,17 @@ mod tests {
             task.validate().expect("spec builds a valid task");
         }
         assert!(TaskSpec::CommitAdopt { n: 2 }.build_task(&cache).is_none());
+    }
+
+    #[test]
+    fn value_count_bound_is_on_pseudosphere_vertex_ids() {
+        // Vertex ids `p · n_values + j` are `u32`s; the product is checked
+        // without overflow.
+        let consensus = |n, n_values| TaskSpec::Consensus { n, n_values }.validate();
+        assert!(consensus(0, u32::MAX as usize).is_ok());
+        assert_eq!(consensus(0, 1 << 32).unwrap_err().field, "n_values");
+        assert_eq!(consensus(1, 1 << 31).unwrap_err().field, "n_values");
+        assert_eq!(consensus(2, usize::MAX).unwrap_err().field, "n_values");
     }
 
     #[test]
