@@ -38,9 +38,9 @@ pub struct BenchRecord {
     pub mean_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
-    /// Solver search-effort counters, for solver workloads: deterministic
-    /// at one thread, so a regression in nodes/backtracks/prunes is
-    /// visible in the JSON trajectory even when wall times are noisy.
+    /// Solver search-effort counters, for solver workloads: deterministic,
+    /// so a regression in nodes/backtracks/prunes is visible in the JSON
+    /// trajectory even when wall times are noisy.
     pub solver: Option<SolveStats>,
 }
 
@@ -246,12 +246,13 @@ mod tests {
             backtracks: 1,
             prunes: 42,
             component_prunes: 7,
+            speculative_assignments: 0,
         });
         let without = measure("s/without", 2, || 0);
         let json = to_json(&[with, without]);
         assert!(json.contains(
             "\"solver\": {\"assignments\": 3, \"backtracks\": 1, \"prunes\": 42, \
-             \"component_prunes\": 7}"
+             \"component_prunes\": 7, \"speculative_assignments\": 0}"
         ));
         // Only the record that carries counters gets the key.
         assert_eq!(json.matches("\"solver\"").count(), 1);

@@ -73,9 +73,8 @@ fn rounds_sweep_cached(cells: &[Cell]) -> gact_scenarios::ControlledMatrixReport
 /// run pays only for the ids it keeps.
 ///
 /// The solver workloads attach their search effort (`with_solver`),
-/// gathered on one thread so the counters are deterministic on any
-/// machine (the parallel subtree split's counters vary with cancellation
-/// timing).
+/// gathered on one thread, where `speculative_assignments` is zero too
+/// (the other counters are the same at every thread count).
 pub fn registry() -> Vec<Workload> {
     let mut w = Vec::new();
 

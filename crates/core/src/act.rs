@@ -293,10 +293,7 @@ pub fn act_solve_controlled(
             Some(&source),
             stop,
         );
-        acc.assignments += outcome.stats().assignments;
-        acc.backtracks += outcome.stats().backtracks;
-        acc.prunes += outcome.stats().prunes;
-        acc.component_prunes += outcome.stats().component_prunes;
+        acc.add(outcome.stats());
         match outcome {
             SolveOutcome::Map(map, stats) => {
                 // A map found under a tripped stop is still a valid map —

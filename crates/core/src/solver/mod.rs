@@ -23,8 +23,9 @@
 //! * `search` — depth-first backtracking with one-step lookahead,
 //!   conflict-weighted constraint scheduling (propagation's per-constraint
 //!   prune counts order the consistency checks — a conjunction, so order
-//!   affects speed and never outcomes), and the deterministic parallel
-//!   subtree split inherited from the previous engine;
+//!   affects speed and never outcomes), and the deterministic subtree
+//!   split at the first branching vertex, whose counters are the
+//!   sequential DFS's at every thread count;
 //! * [`mod@reference`] — the pre-layered chronological engine, kept as an
 //!   executable equivalence oracle.
 //!
@@ -89,10 +90,11 @@ pub struct MapProblem<'a> {
 
 /// Statistics from a solver invocation.
 ///
-/// The search counters (`assignments`, `backtracks`) vary with the thread
-/// count (aborted parallel subtrees stop early) and with the engine
-/// (propagation shrinks the tree); the found/unsat verdict and the map
-/// never do.
+/// The search counters (`assignments`, `backtracks`) are the work a
+/// sequential depth-first search does on the instance, at every thread
+/// count; they vary with the engine (propagation shrinks the tree), while
+/// the found/unsat verdict and the map never do. Only
+/// `speculative_assignments` depends on scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Number of vertex assignments attempted (search nodes).
@@ -105,6 +107,22 @@ pub struct SolveStats {
     /// The subset of `prunes` established by the connectivity argument
     /// (a candidate's whole component of `Δ(carrier)` supports nothing).
     pub component_prunes: u64,
+    /// Assignments made in search subtrees above the winning one, which
+    /// ran concurrently with it and whose work a sequential search never
+    /// does. Zero at one thread; varies with timing. A node budget
+    /// charges `assignments + speculative_assignments`.
+    pub speculative_assignments: u64,
+}
+
+impl SolveStats {
+    /// Adds every counter of `other` to this one.
+    pub fn add(&mut self, other: SolveStats) {
+        self.assignments += other.assignments;
+        self.backtracks += other.backtracks;
+        self.prunes += other.prunes;
+        self.component_prunes += other.component_prunes;
+        self.speculative_assignments += other.speculative_assignments;
+    }
 }
 
 /// The solver outcome: a validated map, or proof of exhaustion.

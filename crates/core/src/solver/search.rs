@@ -1,6 +1,7 @@
 //! The search layer: depth-first backtracking with one-step lookahead,
 //! adjacency-guided variable ordering, conflict-weighted constraint
-//! scheduling, and the deterministic parallel subtree split.
+//! scheduling, and the deterministic subtree split — one search body at
+//! every thread count.
 //!
 //! The search explores candidates in domain order along a fixed variable
 //! order and returns the **first** complete assignment it reaches — the
@@ -9,11 +10,16 @@
 //! * *conflict-weighted constraint scheduling* reorders only the
 //!   per-vertex list of constraints checked inside [`Search::consistent`]
 //!   (a conjunction — order affects speed, never the verdict);
-//! * the *parallel subtree split* explores one candidate subtree per
-//!   worker and crowns the lowest-index winner, which is exactly the
-//!   subtree the sequential DFS would have reached first;
+//! * the *subtree split* explores one candidate subtree per pool job (in
+//!   index order, inline, at one thread) and crowns the lowest-index
+//!   winner, which is exactly the subtree the sequential DFS would have
+//!   reached first;
 //! * domain *pruning* (see [`super::propagate`]) only removes values that
 //!   appear in no solution, which cannot change the first solution found.
+//!
+//! The search counters are those of the sequential DFS too, so they are a
+//! property of the instance: work done concurrently in subtrees above the
+//! winner is reported apart, as `speculative_assignments`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -44,12 +50,14 @@ pub(crate) struct Search<'a> {
     /// Current partial assignment (dense id → output vertex or sentinel).
     pub assignment: Vec<VertexId>,
     pub stats: SolveStats,
-    /// Parallel-subtree cancellation: the lowest subtree index that found a
-    /// solution so far, and this subtree's own index. A subtree stops once
-    /// a *lower-indexed* subtree has a solution — that subtree's map wins
-    /// regardless of what this one would find, so aborting cannot change
-    /// the outcome. `None` in the sequential solver.
-    pub abort: Option<(&'a AtomicUsize, usize)>,
+    /// Subtree cancellation: the lowest subtree index that found a
+    /// solution so far. A subtree stops once a *lower-indexed* subtree has
+    /// a solution — that subtree's map wins regardless of what this one
+    /// would find, so aborting cannot change the outcome.
+    pub best: &'a AtomicUsize,
+    /// This subtree's index (its candidate's position at the branching
+    /// vertex).
+    pub index: usize,
     /// Cooperative interruption for controlled queries (cancellation /
     /// deadline / node budget — see [`crate::control`]). `None` for
     /// uncontrolled queries, whose candidate loops then pay nothing.
@@ -110,8 +118,7 @@ impl Search<'_> {
     /// so a cancelled subtree unwinds in O(stack depth) instead of running
     /// a full consistency scan per remaining candidate per frame.
     fn cancelled(&self) -> bool {
-        self.abort
-            .is_some_and(|(best, index)| best.load(Ordering::Relaxed) < index)
+        self.best.load(Ordering::Relaxed) < self.index
     }
 
     /// Controlled-query checkpoint (a *search-split point*): cheap latched
@@ -130,6 +137,15 @@ impl Search<'_> {
         }
         self.flushed = self.stats.assignments;
         stop.note_and_check(delta).is_some()
+    }
+
+    /// Flushes this search's unflushed nodes to the stop state and
+    /// evaluates the control there, so a budget spent across many small
+    /// subtrees trips too; the next checkpoint sees the latched reason.
+    fn flush(&self) {
+        if let Some(stop) = self.stop {
+            stop.note_and_check(self.stats.assignments - self.flushed);
+        }
     }
 
     pub(crate) fn backtrack(&mut self, depth: usize) -> bool {
@@ -193,9 +209,24 @@ pub(crate) fn variable_order(
     order
 }
 
-/// Runs the search over prepared domains: sequential DFS at one thread,
-/// the deterministic subtree split otherwise. Returns the (first) found
-/// assignment and the accumulated statistics.
+/// Runs the search over prepared domains and returns the (first) found
+/// assignment with its statistics.
+///
+/// The forced prefix of the variable order (domains of size 1) is
+/// assigned first: a conflict there proves unsatisfiability, since every
+/// earlier variable is equally forced. The search then splits at the
+/// first *branching* vertex, one subtree per candidate, each exploring the
+/// DFS order below it. [`gact_parallel::par_map`] runs the subtrees on
+/// the pool, or inline in index order at one thread.
+///
+/// The subtree of the lowest candidate index holding a solution wins,
+/// which is exactly the solution a sequential DFS returns; a shared atomic
+/// makes subtrees with a higher index stop early (or never start), which
+/// cannot affect the winner. The reported `assignments` and `backtracks`
+/// are the work that DFS does: the prefix, every subtree up to and
+/// including the winner (all of them if none wins), and, when nothing
+/// wins, one backtrack per forced level it unwinds. The assignments of
+/// subtrees above the winner go to `speculative_assignments`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_search(
     domains: &[Vec<VertexId>],
@@ -208,141 +239,75 @@ pub(crate) fn run_search(
     stop: Option<&StopState<'_>>,
 ) -> (Option<Vec<VertexId>>, SolveStats) {
     let n = order.len();
-    let threads = gact_parallel::current_threads();
-    if threads <= 1 || n == 0 {
-        let mut search = Search {
-            domains,
-            dense,
-            simplices,
-            per_vertex,
-            images,
-            order,
-            assignment: vec![UNASSIGNED; n],
-            stats: base_stats,
-            abort: None,
-            stop,
-            flushed: base_stats.assignments,
-        };
-        let found = search.backtrack(0);
-        if let Some(stop) = stop {
-            stop.add_nodes(search.stats.assignments - search.flushed);
-        }
-        let stats = search.stats;
-        (found.then_some(search.assignment), stats)
-    } else {
-        parallel_search(
-            domains, dense, simplices, per_vertex, images, order, base_stats, stop,
-        )
-    }
-}
-
-/// Parallel backtracking: propagates the forced prefix of the variable
-/// order (domains of size 1), then splits the search at the first
-/// *branching* vertex — one independent subtree per candidate, each
-/// exploring the sequential DFS order.
-///
-/// The subtree of the lowest candidate index holding a solution wins,
-/// which is exactly the solution the sequential solver returns; a shared
-/// atomic lets subtrees with a higher index stop early, which cannot
-/// affect the winner. Statistics are summed over the prefix and every
-/// subtree (so they vary with thread count, unlike the outcome).
-#[allow(clippy::too_many_arguments)]
-fn parallel_search(
-    domains: &[Vec<VertexId>],
-    dense: &[u32],
-    simplices: &[(Simplex, u32)],
-    per_vertex: &[Vec<u32>],
-    images: &[&Complex],
-    order: &[u32],
-    base_stats: SolveStats,
-    stop: Option<&StopState<'_>>,
-) -> (Option<Vec<VertexId>>, SolveStats) {
-    let n = order.len();
-    let mut prefix = Search {
+    let best = AtomicUsize::new(usize::MAX);
+    let search = |assignment, stats: SolveStats, index| Search {
         domains,
         dense,
         simplices,
         per_vertex,
         images,
         order,
-        assignment: vec![UNASSIGNED; n],
-        stats: base_stats,
-        abort: None,
+        assignment,
+        stats,
+        best: &best,
+        index,
         stop,
-        flushed: base_stats.assignments,
+        flushed: stats.assignments,
     };
-    // Forced prefix: a variable with a single candidate either takes it or
-    // proves unsatisfiability (there is nothing earlier to backtrack to —
-    // every preceding variable is equally forced).
+    let mut prefix = search(vec![UNASSIGNED; n], base_stats, 0);
     let mut depth = 0usize;
+    let mut conflict = false;
     while depth < n && domains[order[depth] as usize].len() == 1 {
         let vi = order[depth] as usize;
         prefix.stats.assignments += 1;
         prefix.assignment[vi] = domains[vi][0];
         if !prefix.consistent(vi) {
             prefix.stats.backtracks += 1;
-            if let Some(stop) = stop {
-                stop.add_nodes(prefix.stats.assignments - prefix.flushed);
-            }
-            return (None, prefix.stats);
+            conflict = true;
+            break;
         }
         depth += 1;
     }
-    if let Some(stop) = stop {
-        stop.add_nodes(prefix.stats.assignments - prefix.flushed);
-        prefix.flushed = prefix.stats.assignments;
-    }
+    prefix.flush();
+    let mut stats = prefix.stats;
     if depth == n {
-        return (Some(prefix.assignment), prefix.stats);
+        return (Some(prefix.assignment), stats);
     }
 
-    let branch_vi = order[depth] as usize;
-    let candidates = &domains[branch_vi];
-    let best = AtomicUsize::new(usize::MAX);
-    let indices: Vec<usize> = (0..candidates.len()).collect();
-    let base_assignment = prefix.assignment;
-    let subtree_results: Vec<(Option<Vec<VertexId>>, SolveStats)> = {
-        let best = &best;
-        let base_assignment = &base_assignment;
-        gact_parallel::par_map(&indices, move |&ci| {
-            let mut search = Search {
-                domains,
-                dense,
-                simplices,
-                per_vertex,
-                images,
-                order,
-                assignment: base_assignment.clone(),
-                stats: SolveStats::default(),
-                abort: Some((best, ci)),
-                stop,
-                flushed: 0,
-            };
-            search.stats.assignments += 1;
-            search.assignment[branch_vi] = candidates[ci];
-            let won = search.consistent(branch_vi) && search.backtrack(depth + 1);
-            if let Some(stop) = stop {
-                stop.add_nodes(search.stats.assignments - search.flushed);
+    let mut winner = None;
+    if !conflict {
+        let branch_vi = order[depth] as usize;
+        let candidates = &domains[branch_vi];
+        let indices: Vec<usize> = (0..candidates.len()).collect();
+        let base_assignment = &prefix.assignment;
+        let subtrees = gact_parallel::par_map(&indices, |&ci| {
+            if best.load(Ordering::Relaxed) < ci {
+                return (None, SolveStats::default());
             }
+            let mut sub = search(base_assignment.clone(), SolveStats::default(), ci);
+            sub.stats.assignments += 1;
+            sub.assignment[branch_vi] = candidates[ci];
+            let won = sub.consistent(branch_vi) && sub.backtrack(depth + 1);
+            sub.flush();
             if won {
                 best.fetch_min(ci, Ordering::SeqCst);
-                (Some(search.assignment), search.stats)
+                (Some(sub.assignment), sub.stats)
             } else {
-                search.stats.backtracks += 1;
-                (None, search.stats)
+                sub.stats.backtracks += 1;
+                (None, sub.stats)
             }
-        })
-    };
-    let mut stats = prefix.stats;
-    let mut winner: Option<Vec<VertexId>> = None;
-    for (assignment, subtree_stats) in subtree_results {
-        stats.assignments += subtree_stats.assignments;
-        stats.backtracks += subtree_stats.backtracks;
-        if winner.is_none() {
-            if let Some(assignment) = assignment {
-                winner = Some(assignment);
+        });
+        for (assignment, sub_stats) in subtrees {
+            if winner.is_none() {
+                stats.add(sub_stats);
+                winner = assignment;
+            } else {
+                stats.speculative_assignments += sub_stats.assignments;
             }
         }
+    }
+    if winner.is_none() {
+        stats.backtracks += depth as u64;
     }
     (winner, stats)
 }

@@ -1,10 +1,10 @@
 //! Sequential/parallel equivalence: every parallel layer (solver subtree
 //! split, batched run-verification, batched admissibility, carrier-
 //! condition checking) must produce results identical to the sequential
-//! path — same maps, same verdicts, same violation strings — for any
-//! thread count. `GACT_THREADS` is read once per process, so the tests
-//! pin equivalence through the per-call-tree override
-//! [`gact_parallel::with_threads`] (1 vs 8).
+//! path — same maps, same verdicts, same violation strings, same search
+//! counters — for any thread count. `GACT_THREADS` is read once per
+//! process, so the tests pin equivalence through the per-call-tree
+//! override [`gact_parallel::with_threads`] (1 vs 8).
 
 use std::collections::HashMap;
 
@@ -12,19 +12,28 @@ use proptest::prelude::*;
 
 use gact::{
     act_solve, build_lt_showcase, certificate_from_act_map, solve, verify_protocol_on_runs,
-    ActVerdict, MapProblem, SolveOutcome,
+    ActVerdict, MapProblem, SolveOutcome, SolveStats,
 };
 use gact_chromatic::chr_iter;
 use gact_models::enumerate_runs;
 use gact_parallel::with_threads;
 use gact_tasks::affine::full_subdivision_task;
-use gact_tasks::classic::consensus_task;
+use gact_tasks::classic::{consensus_task, set_agreement_task};
 use gact_tasks::Task;
 use gact_topology::VertexId;
 
-/// Solves the `Chr^depth I → task` problem and extracts (solvable, map as
-/// sorted vertex pairs).
-fn solve_at(task: &Task, depth: usize) -> (bool, Option<Vec<(u32, u32)>>) {
+/// The search counters that must not depend on the thread count: every
+/// [`SolveStats`] field but `speculative_assignments`.
+fn counters(s: SolveStats) -> [u64; 4] {
+    [s.assignments, s.backtracks, s.prunes, s.component_prunes]
+}
+
+/// (solvable, map as sorted vertex pairs, deterministic counters).
+type Solved = (bool, Option<Vec<(u32, u32)>>, [u64; 4]);
+
+/// Solves the `Chr^depth I → task` problem and extracts its [`Solved`]
+/// digest.
+fn solve_at(task: &Task, depth: usize) -> Solved {
     let sd = chr_iter(&task.input, &task.input_geometry, depth);
     let problem = MapProblem {
         domain: &sd.complex,
@@ -32,7 +41,7 @@ fn solve_at(task: &Task, depth: usize) -> (bool, Option<Vec<(u32, u32)>>) {
         task,
     };
     match solve(&problem, None) {
-        SolveOutcome::Map(map, _) => {
+        SolveOutcome::Map(map, stats) => {
             let mut pairs: Vec<(u32, u32)> = sd
                 .complex
                 .complex()
@@ -41,9 +50,9 @@ fn solve_at(task: &Task, depth: usize) -> (bool, Option<Vec<(u32, u32)>>) {
                 .map(|v| (v.0, map.apply(v).0))
                 .collect();
             pairs.sort_unstable();
-            (true, Some(pairs))
+            (true, Some(pairs), counters(stats))
         }
-        SolveOutcome::Unsatisfiable(_) => (false, None),
+        SolveOutcome::Unsatisfiable(stats) => (false, None, counters(stats)),
     }
 }
 
@@ -65,6 +74,19 @@ proptest! {
         let sequential = with_threads(1, || solve_at(&task, depth));
         let parallel = with_threads(8, || solve_at(&task, depth));
         prop_assert!(!sequential.0, "binary consensus is wait-free unsolvable");
+        prop_assert_eq!(sequential, parallel);
+    }
+
+    /// 2-set agreement among three processes over three values at depth
+    /// 0 is large enough for the propagating engine and has no map: the
+    /// counters must include the unwinding of every forced level, as a
+    /// sequential search counts it.
+    #[test]
+    fn solver_unsat_counters_identical_across_thread_counts(threads in 2usize..=8) {
+        let task = set_agreement_task(2, &[0, 1, 2], 2);
+        let sequential = with_threads(1, || solve_at(&task, 0));
+        let parallel = with_threads(threads, || solve_at(&task, 0));
+        prop_assert!(!sequential.0, "no 2-set agreement map at depth 0");
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -114,7 +136,8 @@ proptest! {
 
 /// The full Proposition 9.2 pipeline — subdivision growth, band
 /// stabilization, solver-found `δ`, carrier condition — is identical for
-/// 1 and 8 threads: same band sizes, same δ on every stable vertex.
+/// 1 and 8 threads: same band sizes, same δ on every stable vertex, same
+/// search counters.
 #[test]
 fn lt_showcase_identical_across_thread_counts() {
     let digest = |threads: usize| {
@@ -130,7 +153,7 @@ fn lt_showcase_identical_across_thread_counts() {
                 .map(|v| (v.0, show.certificate.map.apply(v).0))
                 .collect();
             delta.sort_unstable();
-            (show.band_sizes.clone(), delta)
+            (show.band_sizes.clone(), delta, counters(show.stats))
         })
     };
     assert_eq!(digest(1), digest(8));

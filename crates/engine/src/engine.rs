@@ -88,6 +88,7 @@ struct Counters {
     backtracks: AtomicU64,
     prunes: AtomicU64,
     component_prunes: AtomicU64,
+    speculative_assignments: AtomicU64,
 }
 
 impl Counters {
@@ -97,6 +98,8 @@ impl Counters {
         self.prunes.fetch_add(s.prunes, Ordering::Relaxed);
         self.component_prunes
             .fetch_add(s.component_prunes, Ordering::Relaxed);
+        self.speculative_assignments
+            .fetch_add(s.speculative_assignments, Ordering::Relaxed);
     }
 }
 
@@ -517,6 +520,10 @@ impl Engine {
                 backtracks: self.counters.backtracks.load(Ordering::Relaxed),
                 prunes: self.counters.prunes.load(Ordering::Relaxed),
                 component_prunes: self.counters.component_prunes.load(Ordering::Relaxed),
+                speculative_assignments: self
+                    .counters
+                    .speculative_assignments
+                    .load(Ordering::Relaxed),
             },
             subdivision_cache: self.cache.subdivisions().stats(),
             domain_table_cache: self.cache.table_stats(),

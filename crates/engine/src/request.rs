@@ -345,12 +345,24 @@ impl VerifyRequest {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidSpec`] for an empty run list.
+    /// [`EngineError::InvalidSpec`] for an empty run list, or for a run
+    /// whose process count is not `n + 1`.
     pub fn with_runs(mut self, runs: Vec<Run>) -> Result<Self, EngineError> {
         if runs.is_empty() {
             return Err(EngineError::invalid(
                 "runs",
                 "the run list must be non-empty",
+            ));
+        }
+        if let Some(run) = runs.iter().find(|r| r.process_count() != self.n + 1) {
+            return Err(EngineError::invalid(
+                "runs",
+                format!(
+                    "a run of {} processes does not fit n = {} ({} processes)",
+                    run.process_count(),
+                    self.n,
+                    self.n + 1
+                ),
             ));
         }
         self.runs = Some(runs);

@@ -1,5 +1,6 @@
 //! Pins the engine-routed 49-cell `--family all` sweep to the committed
-//! `scenarios_all.json`: zero verdict diffs, cell for cell. This is the
+//! `scenarios_all.json`: zero verdict diffs, cell for cell, and the same
+//! deterministic solver counters at any thread count. This is the
 //! in-tree twin of the CI `engine-smoke` job.
 
 use gact_engine::{Engine, MatrixRequest};
@@ -14,6 +15,17 @@ fn cell_lines(json: &str) -> Vec<String> {
             l[..cut].to_string()
         })
         .collect()
+}
+
+/// The value of the first `"key": <integer>` in `json`.
+fn first_count(json: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\": ");
+    let at = json.find(&tag).expect("key present") + tag.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("integer value")
 }
 
 #[test]
@@ -37,4 +49,19 @@ fn engine_all_sweep_matches_committed_verdicts() {
         "engine-routed sweep diverged from the committed scenario verdicts"
     );
     assert_eq!(reply.report.interrupted, 0);
+
+    // The totals' solver object comes before the engine's: the search
+    // counters are a sequential search's at every thread count.
+    let solver = reply.report.solver;
+    assert_eq!(
+        [
+            solver.assignments,
+            solver.backtracks,
+            solver.prunes,
+            solver.component_prunes
+        ],
+        ["assignments", "backtracks", "prunes", "component_prunes"]
+            .map(|key| first_count(committed, key)),
+        "sweep solver counters diverged from the committed totals"
+    );
 }

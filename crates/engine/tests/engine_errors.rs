@@ -217,6 +217,28 @@ fn verify_request_paths() {
 }
 
 #[test]
+fn verify_runs_must_match_the_process_count() {
+    // A 5-process run against the 3-process certificate used to pass
+    // validation and then panic inside the IIS executor.
+    let request = || VerifyRequest::new(2, 1, ModelSpec::WaitFree).unwrap();
+    for procs in [2, 4, 5] {
+        assert_eq!(
+            invalid_field(request().with_runs(vec![Run::fair(procs)]).unwrap_err()),
+            "runs"
+        );
+    }
+    let mixed = vec![Run::fair(3), Run::fair(5)];
+    assert_eq!(
+        invalid_field(request().with_runs(mixed).unwrap_err()),
+        "runs"
+    );
+    let reply = Engine::new()
+        .verify(&request().with_runs(vec![Run::fair(3)]).unwrap())
+        .unwrap();
+    assert_eq!((reply.runs, reply.violations), (1, 0));
+}
+
+#[test]
 fn verify_round_bound_is_capped() {
     let request = || VerifyRequest::new(2, 1, ModelSpec::TResilient { t: 1 }).unwrap();
     // `usize::MAX` used to pass validation and then overflow the schedule

@@ -301,8 +301,8 @@ pub struct ControlledMatrixReport {
     /// Propagation-plan-cache counters accumulated over the sweep.
     pub plan_stats: CacheStats,
     /// Solver effort accumulated over every solvability cell (search
-    /// nodes, backtracks, propagation prunes); varies with thread count,
-    /// unlike the outcomes.
+    /// nodes, backtracks, propagation prunes); the same at every thread
+    /// count except `speculative_assignments`.
     pub solver: SolveStats,
     /// Number of cells whose outcome is [`CellOutcome::Interrupted`].
     pub interrupted: usize,
@@ -495,10 +495,7 @@ fn sweep(
     let results: Vec<ControlledCellResult> = results
         .into_iter()
         .map(|(r, s)| {
-            solver.assignments += s.assignments;
-            solver.backtracks += s.backtracks;
-            solver.prunes += s.prunes;
-            solver.component_prunes += s.component_prunes;
+            solver.add(s);
             if matches!(r.outcome, CellOutcome::Interrupted(_)) {
                 interrupted += 1;
             }

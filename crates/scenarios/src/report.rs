@@ -17,7 +17,7 @@
 //!   "totals": {"cells": 43, "solvable": 20, "unsolvable": 5,
 //!              "protocol_verified": 8, "unknown": 10, "interrupted": 0,
 //!              "solver": {"assignments": 0, "backtracks": 0, "prunes": 0,
-//!                         "component_prunes": 0},
+//!                         "component_prunes": 0, "speculative_assignments": 0},
 //!              "wall_ms": 123.4,
 //!              "subdivision_cache": {"hits": 90, "misses": 9, "evictions": 0},
 //!              "domain_table_cache": {"hits": 40, "misses": 8, "evictions": 0},
@@ -39,9 +39,10 @@
 //! unless the caches are capacity-bounded (`QueryCache::with_capacity`,
 //! or `EngineBuilder::cache_capacity` for an engine's caches).
 //!
-//! Every field except the `wall_ms` timings and the `solver` effort
-//! (which varies with the thread count) is deterministic for a given
-//! family and code version.
+//! Every field except the `wall_ms` timings and the solver's
+//! `speculative_assignments` (search work done concurrently above the
+//! winning subtree, zero at one thread) is deterministic for a given
+//! family and code version, at every thread count.
 
 use std::fmt::Write as _;
 
@@ -70,8 +71,9 @@ pub fn cache_stats_json(s: CacheStats) -> String {
 /// the `BENCH_results.json` solver payload.
 pub fn solve_stats_json(s: gact::solver::SolveStats) -> String {
     format!(
-        "{{\"assignments\": {}, \"backtracks\": {}, \"prunes\": {}, \"component_prunes\": {}}}",
-        s.assignments, s.backtracks, s.prunes, s.component_prunes
+        "{{\"assignments\": {}, \"backtracks\": {}, \"prunes\": {}, \"component_prunes\": {}, \
+         \"speculative_assignments\": {}}}",
+        s.assignments, s.backtracks, s.prunes, s.component_prunes, s.speculative_assignments
     )
 }
 
